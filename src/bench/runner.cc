@@ -96,10 +96,6 @@ RunResult RunSummaryOnly(Backend backend, const qc::QuantumCircuit& circuit,
     return out;
   }
   out.ok = true;
-  out.seconds = summary->metrics.wall_seconds;
-  out.peak_bytes = summary->metrics.peak_bytes;
-  out.backend_stat = summary->metrics.backend_stat;
-  out.backend_stat_name = summary->metrics.backend_stat_name;
   out.nnz = summary->final_rows;
   out.norm_squared = summary->norm_squared;
   return out;

@@ -11,16 +11,6 @@ namespace {
 using sql::DataType;
 using sql::Value;
 
-sql::DatabaseOptions DbOptionsFor(const QymeraOptions& qopts,
-                                  const sim::SimOptions& base) {
-  sql::DatabaseOptions dopts;
-  dopts.memory_budget_bytes = base.memory_budget_bytes;
-  dopts.enable_spill = qopts.enable_spill;
-  dopts.chunk_size = qopts.chunk_size;
-  dopts.num_threads = qopts.num_threads;
-  return dopts;
-}
-
 /// Bit b of basis index v as '0'/'1'.
 char BitChar(uint64_t v, int b) { return ((v >> b) & 1) ? '1' : '0'; }
 
@@ -39,7 +29,7 @@ Result<sim::SparseState> StringEncodedSimulator::Run(
     return Status::Unsupported(
         "string-encoded simulation is an ablation; use <= 30 qubits");
   }
-  sql::Database db(DbOptionsFor(qopts_, options_));
+  sql::Database db(MakeDatabaseOptions(qopts_));
   metrics_ = sim::SimMetrics{};
   metrics_.backend_stat_name = "max_rows";
 
@@ -113,21 +103,13 @@ Result<sim::SparseState> StringEncodedSimulator::Run(
       }
     }
     std::string out_expr = "CONCAT(" + qy::StrJoin(out_parts, ", ") + ")";
-    std::string sum_r = "SUM((" + current + ".r * " + gname + ".r) - (" +
-                        current + ".i * " + gname + ".i))";
-    std::string sum_i = "SUM((" + current + ".r * " + gname + ".i) + (" +
-                        current + ".i * " + gname + ".r))";
     std::string next = "S" + std::to_string(gi + 1);
-    std::string sql = "CREATE TABLE " + next + " AS SELECT " + out_expr +
-                      " AS s, " + sum_r + " AS r, " + sum_i + " AS i FROM " +
-                      current + " JOIN " + gname + " ON " + gname +
-                      ".in_s = " + gather + " GROUP BY " + out_expr;
-    if (options_.prune_epsilon > 0) {
-      double eps2 = options_.prune_epsilon * options_.prune_epsilon;
-      sql += " HAVING ((" + sum_r + " * " + sum_r + ") + (" + sum_i + " * " +
-             sum_i + ")) > " + qy::DoubleToSql(eps2);
-    }
-    QY_ASSIGN_OR_RETURN(sql::QueryResult result, db.Execute(sql));
+    QY_ASSIGN_OR_RETURN(
+        sql::QueryResult result,
+        db.Execute("CREATE TABLE " + next + " AS " +
+                   AmplitudeProductSelect(out_expr + " AS s", current, gname,
+                                          gname + ".in_s = " + gather,
+                                          out_expr, options_.prune_epsilon)));
     metrics_.backend_stat =
         std::max<uint64_t>(metrics_.backend_stat, result.rows_changed);
     QY_RETURN_IF_ERROR(db.ExecuteScript("DROP TABLE " + current));
@@ -171,7 +153,7 @@ Result<sim::SparseState> TensorColumnSimulator::Run(
     return Status::Unsupported(
         "tensor-column simulation is an ablation; use <= 24 qubits");
   }
-  sql::Database db(DbOptionsFor(qopts_, options_));
+  sql::Database db(MakeDatabaseOptions(qopts_));
   metrics_ = sim::SimMetrics{};
   metrics_.backend_stat_name = "max_rows";
 
@@ -238,10 +220,6 @@ Result<sim::SparseState> TensorColumnSimulator::Run(
                         qcol(q));
       }
     }
-    std::string sum_r = "SUM((" + current + ".r * " + gname + ".r) - (" +
-                        current + ".i * " + gname + ".i))";
-    std::string sum_i = "SUM((" + current + ".r * " + gname + ".i) + (" +
-                        current + ".i * " + gname + ".r))";
     std::vector<std::string> join_conds;
     for (int b = 0; b < k; ++b) {
       join_conds.push_back(gname + ".in_" + std::to_string(b) + " = " +
@@ -250,17 +228,13 @@ Result<sim::SparseState> TensorColumnSimulator::Run(
     std::vector<std::string> ordinals;
     for (int q = 1; q <= n; ++q) ordinals.push_back(std::to_string(q));
     std::string next = "E" + std::to_string(gi + 1);
-    std::string sql = "CREATE TABLE " + next + " AS SELECT " +
-                      qy::StrJoin(items, ", ") + ", " + sum_r + " AS r, " +
-                      sum_i + " AS i FROM " + current + " JOIN " + gname +
-                      " ON " + qy::StrJoin(join_conds, " AND ") + " GROUP BY " +
-                      qy::StrJoin(ordinals, ", ");
-    if (options_.prune_epsilon > 0) {
-      double eps2 = options_.prune_epsilon * options_.prune_epsilon;
-      sql += " HAVING ((" + sum_r + " * " + sum_r + ") + (" + sum_i + " * " +
-             sum_i + ")) > " + qy::DoubleToSql(eps2);
-    }
-    QY_ASSIGN_OR_RETURN(sql::QueryResult result, db.Execute(sql));
+    QY_ASSIGN_OR_RETURN(
+        sql::QueryResult result,
+        db.Execute("CREATE TABLE " + next + " AS " +
+                   AmplitudeProductSelect(
+                       qy::StrJoin(items, ", "), current, gname,
+                       qy::StrJoin(join_conds, " AND "),
+                       qy::StrJoin(ordinals, ", "), options_.prune_epsilon)));
     metrics_.backend_stat =
         std::max<uint64_t>(metrics_.backend_stat, result.rows_changed);
     QY_RETURN_IF_ERROR(db.ExecuteScript("DROP TABLE " + current));

@@ -10,38 +10,6 @@ namespace qy::core {
 
 namespace {
 
-/// Checkpoint payload for the SQL backend: the sparse state read back from
-/// the current intermediate table (exact, eps = 0).
-std::string EncodeSparseState(const sim::SparseState& state) {
-  sim::BlobWriter w;
-  w.U64(state.amplitudes().size());
-  for (const auto& [idx, amp] : state.amplitudes()) {
-    w.Index(idx);
-    w.C128(amp);
-  }
-  return w.TakeBytes();
-}
-
-Result<sim::SparseState> DecodeSparseState(const std::string& payload, int n) {
-  sim::BlobReader r(payload);
-  uint64_t nnz;
-  QY_RETURN_IF_ERROR(r.U64(&nnz));
-  std::vector<std::pair<BasisIndex, sim::Complex>> amps;
-  amps.reserve(nnz);
-  BasisIndex limit = BasisIndex{1} << n;
-  for (uint64_t i = 0; i < nnz; ++i) {
-    BasisIndex idx;
-    sim::Complex amp;
-    QY_RETURN_IF_ERROR(r.Index(&idx));
-    QY_RETURN_IF_ERROR(r.C128(&amp));
-    if (idx >= limit) {
-      return Status::DataLoss("checkpoint amplitude index out of range");
-    }
-    amps.emplace_back(idx, amp);
-  }
-  return sim::SparseState(n, std::move(amps));
-}
-
 /// One-line rendering of the database's plan-cache counters, appended to the
 /// operator profile (CLI --stats).
 std::string PlanCacheLine(const sql::Database& db) {
@@ -54,36 +22,32 @@ std::string PlanCacheLine(const sql::Database& db) {
 
 }  // namespace
 
+sql::DatabaseOptions MakeDatabaseOptions(const QymeraOptions& options) {
+  sql::DatabaseOptions dopts;
+  dopts.memory_budget_bytes = options.base.memory_budget_bytes;
+  dopts.enable_spill = options.enable_spill;
+  dopts.chunk_size = options.chunk_size;
+  dopts.num_threads = options.num_threads;
+  dopts.query = options.base.query;
+  dopts.external_pool = options.external_pool;
+  dopts.parent_tracker = options.parent_tracker;
+  return dopts;
+}
+
 Result<Translation> QymeraSimulator::Translate(
     const qc::QuantumCircuit& circuit) const {
   qc::QuantumCircuit prepared = circuit;
-  if (qopts_.enable_fusion) {
-    QY_ASSIGN_OR_RETURN(prepared, FuseGates(circuit, qopts_.fusion));
-  }
-  TranslateOptions topts;
-  topts.use_hugeint = qopts_.force_hugeint || circuit.num_qubits() > 62;
-  topts.prune_epsilon = options_.prune_epsilon;
-  topts.order_final = qopts_.final_order_by;
-  topts.ping_pong_states =
-      qopts_.mode == QymeraOptions::Mode::kMaterializedSteps;
-  return TranslateCircuit(prepared, topts);
+  return PrepareAndTranslate(&prepared);
 }
 
-Result<RunSummary> QymeraSimulator::ExecuteInternal(
-    const qc::QuantumCircuit& circuit, sql::Database* db,
-    std::string* final_table, int* num_qubits) {
-  auto start = std::chrono::steady_clock::now();
-  QY_RETURN_IF_ERROR(circuit.status());
-  qc::QuantumCircuit prepared = circuit;
+Result<Translation> QymeraSimulator::PrepareAndTranslate(
+    qc::QuantumCircuit* circuit) const {
+  QY_RETURN_IF_ERROR(circuit->status());
   if (qopts_.enable_fusion) {
-    QY_ASSIGN_OR_RETURN(prepared, FuseGates(circuit, qopts_.fusion));
+    QY_ASSIGN_OR_RETURN(*circuit, FuseGates(*circuit, qopts_.fusion));
   }
-  int n = prepared.num_qubits();
-  *num_qubits = n;
-  bool use_hugeint = qopts_.force_hugeint || n > 62;
-
   TranslateOptions topts;
-  topts.use_hugeint = use_hugeint;
+  topts.use_hugeint = qopts_.force_hugeint || circuit->num_qubits() > 62;
   topts.prune_epsilon = options_.prune_epsilon;
   topts.order_final = qopts_.final_order_by;
   // Ping-pong state naming makes the per-gate SQL text repeat across gates
@@ -91,15 +55,23 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
   // parse/bind/plan per distinct shape for the whole circuit.
   topts.ping_pong_states =
       qopts_.mode == QymeraOptions::Mode::kMaterializedSteps;
-  QY_ASSIGN_OR_RETURN(Translation translation,
-                      TranslateCircuit(prepared, topts));
+  return TranslateCircuit(*circuit, topts);
+}
+
+Result<RunSummary> QymeraSimulator::RunInternal(
+    const qc::QuantumCircuit& circuit, sim::SparseState* final_state) {
+  sql::Database db(MakeDatabaseOptions(qopts_));
+  auto start = std::chrono::steady_clock::now();
+  qc::QuantumCircuit prepared = circuit;
+  QY_ASSIGN_OR_RETURN(Translation translation, PrepareAndTranslate(&prepared));
+  const int n = translation.num_qubits;
 
   // Gate indices in the checkpoint refer to the fused (prepared) circuit's
   // translation steps; use_hugeint folds into the options digest because it
   // changes the state-table encoding.
   qy::Fingerprint ofp;
   ofp.MixU64(sim::SimOptionsFingerprint(options_));
-  ofp.MixI64(use_hugeint ? 1 : 0);
+  ofp.MixI64(translation.use_hugeint ? 1 : 0);
   sim::CheckpointSession ckpt(options_, "qymera-sql", prepared.Fingerprint(),
                               ofp.hash(), n, translation.steps.size());
   if (ckpt.enabled() && qopts_.mode == QymeraOptions::Mode::kSingleQuery) {
@@ -113,36 +85,36 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
   // Load gate tables, then either the initial state |0...0> or the
   // checkpointed state as the resumed step's output table.
   for (const EncodedGate& gate : translation.gate_tables) {
-    QY_RETURN_IF_ERROR(MaterializeGateTable(db, gate));
+    QY_RETURN_IF_ERROR(MaterializeGateTable(&db, gate));
   }
   std::string initial_table = "T0";
   sim::SparseState initial_state = sim::SparseState::ZeroState(n);
   if (start_step > 0) {
     initial_table = translation.steps[start_step - 1].output_table;
-    QY_ASSIGN_OR_RETURN(initial_state, DecodeSparseState(resume_payload, n));
+    QY_ASSIGN_OR_RETURN(auto amps,
+                        sim::DecodeSparseAmplitudes(resume_payload, n));
+    initial_state = sim::SparseState(n, std::move(amps));
   }
-  QY_RETURN_IF_ERROR(
-      MaterializeStateTable(db, initial_table, initial_state, use_hugeint));
+  QY_RETURN_IF_ERROR(MaterializeStateTable(&db, initial_table, initial_state,
+                                           translation.use_hugeint));
 
   RunSummary summary;
   summary.max_intermediate_rows = 1;
+  std::string current = initial_table;
 
   if (qopts_.mode == QymeraOptions::Mode::kSingleQuery) {
-    if (translation.steps.empty()) {
-      *final_table = "T0";
-    } else {
+    if (!translation.steps.empty()) {
       // Materialize the full chained query into the final table.
       QY_ASSIGN_OR_RETURN(
           sql::QueryResult result,
-          db->Execute("CREATE TABLE qy_final AS " + translation.single_query));
+          db.Execute("CREATE TABLE qy_final AS " + translation.single_query));
       summary.max_intermediate_rows =
           std::max<uint64_t>(summary.max_intermediate_rows,
                              result.rows_changed);
-      *final_table = "qy_final";
+      current = "qy_final";
     }
   } else {
     // One CREATE TABLE AS per gate, dropping the predecessor.
-    std::string current = initial_table;
     for (size_t k = start_step; k < translation.steps.size(); ++k) {
       QY_FAILPOINT("sim/gate");
       if (options_.query != nullptr) {
@@ -151,16 +123,16 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
       const GateQuery& step = translation.steps[k];
       QY_ASSIGN_OR_RETURN(
           sql::QueryResult result,
-          db->Execute("CREATE TABLE " + step.output_table + " AS " +
-                      step.select_sql));
+          db.Execute("CREATE TABLE " + step.output_table + " AS " +
+                     step.select_sql));
       summary.max_intermediate_rows = std::max<uint64_t>(
           summary.max_intermediate_rows, result.rows_changed);
-      QY_RETURN_IF_ERROR(db->ExecuteScript("DROP TABLE " + current));
+      QY_RETURN_IF_ERROR(db.ExecuteScript("DROP TABLE " + current));
       current = step.output_table;
       if (step_callback_) {
         QY_ASSIGN_OR_RETURN(
             sim::SparseState state,
-            ReadStateTable(db, current, n, options_.prune_epsilon));
+            ReadStateTable(&db, current, n, options_.prune_epsilon));
         QY_RETURN_IF_ERROR(
             step_callback_(k, prepared.gates()[k], state));
       }
@@ -168,48 +140,44 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
       // failure inside the lambda surfaces through ser_status.
       Status ser_status;
       QY_RETURN_IF_ERROR(ckpt.AfterGate(k + 1, [&]() -> std::string {
-        auto state = ReadStateTable(db, current, n, /*prune_epsilon=*/0.0);
+        auto state = ReadStateTable(&db, current, n, /*prune_epsilon=*/0.0);
         if (!state.ok()) {
           ser_status = state.status();
           return std::string();
         }
-        return EncodeSparseState(*state);
+        return sim::EncodeSparseAmplitudes(state->amplitudes());
       }));
       QY_RETURN_IF_ERROR(ser_status);
     }
-    *final_table = current;
   }
 
   // Row count + norm without materializing the state client-side.
   QY_ASSIGN_OR_RETURN(
       sql::QueryResult norm_result,
-      db->Execute("SELECT COUNT(*) AS rows, SUM(r * r + i * i) AS norm FROM " +
-                  *final_table));
+      db.Execute("SELECT COUNT(*) AS rows, SUM(r * r + i * i) AS norm FROM " +
+                 current));
   summary.final_rows = static_cast<uint64_t>(norm_result.GetInt64(0, 0));
   summary.norm_squared = norm_result.GetDouble(0, 1);
-  summary.rows_spilled = db->total_rows_spilled();
-  summary.plan_cache_hits = db->plan_cache_stats().hits;
-  summary.plan_cache_misses = db->plan_cache_stats().misses;
+  summary.rows_spilled = db.total_rows_spilled();
+  summary.plan_cache_hits = db.plan_cache_stats().hits;
+  summary.plan_cache_misses = db.plan_cache_stats().misses;
 
   summary.metrics.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  summary.metrics.peak_bytes = db->tracker().peak();
+  summary.metrics.peak_bytes = db.tracker().peak();
   summary.metrics.backend_stat = summary.max_intermediate_rows;
   summary.metrics.backend_stat_name = "max_rows";
-  return summary;
-}
 
-sql::DatabaseOptions QymeraSimulator::MakeDbOptions() const {
-  sql::DatabaseOptions dopts;
-  dopts.memory_budget_bytes = options_.memory_budget_bytes;
-  dopts.enable_spill = qopts_.enable_spill;
-  dopts.chunk_size = qopts_.chunk_size;
-  dopts.num_threads = qopts_.num_threads;
-  dopts.query = options_.query;
-  dopts.external_pool = qopts_.external_pool;
-  dopts.parent_tracker = qopts_.parent_tracker;
-  return dopts;
+  if (final_state != nullptr) {
+    QY_ASSIGN_OR_RETURN(
+        *final_state,
+        ReadStateTable(&db, current, n, options_.prune_epsilon));
+  }
+  summary.operator_profile = db.profile().ToString() + PlanCacheLine(db);
+  metrics_ = summary.metrics;
+  last_summary_ = summary;
+  return summary;
 }
 
 JsonValue RunSummaryToJson(const RunSummary& summary) {
@@ -235,30 +203,13 @@ JsonValue RunSummaryToJson(const RunSummary& summary) {
 }
 
 Result<RunSummary> QymeraSimulator::Execute(const qc::QuantumCircuit& circuit) {
-  sql::Database db(MakeDbOptions());
-  std::string final_table;
-  int n = 0;
-  QY_ASSIGN_OR_RETURN(RunSummary summary,
-                      ExecuteInternal(circuit, &db, &final_table, &n));
-  summary.operator_profile = db.profile().ToString() + PlanCacheLine(db);
-  metrics_ = summary.metrics;
-  last_summary_ = summary;
-  return summary;
+  return RunInternal(circuit, /*final_state=*/nullptr);
 }
 
 Result<sim::SparseState> QymeraSimulator::Run(
     const qc::QuantumCircuit& circuit) {
-  sql::Database db(MakeDbOptions());
-  std::string final_table;
-  int n = 0;
-  QY_ASSIGN_OR_RETURN(RunSummary summary,
-                      ExecuteInternal(circuit, &db, &final_table, &n));
-  QY_ASSIGN_OR_RETURN(
-      sim::SparseState state,
-      ReadStateTable(&db, final_table, n, options_.prune_epsilon));
-  metrics_ = summary.metrics;
-  last_operator_profile_ = db.profile().ToString() + PlanCacheLine(db);
-  last_summary_ = summary;
+  sim::SparseState state;
+  QY_RETURN_IF_ERROR(RunInternal(circuit, &state).status());
   return state;
 }
 

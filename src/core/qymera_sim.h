@@ -73,7 +73,9 @@ struct RunSummary {
   /// every repetition of a gate shape is a cache hit (parsed/planned once).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  /// Per-operator stats rendering (sql::QueryProfile::ToString()).
+  /// Per-operator stats rendering (sql::QueryProfile::ToString()) plus a
+  /// "PlanCache:" line: the CLI's --stats text. Filled by both Run() and
+  /// Execute(); read it from last_summary() after Run().
   std::string operator_profile;
   sim::SimMetrics metrics;
 };
@@ -83,6 +85,10 @@ struct RunSummary {
 /// simulate responses. The operator_profile text is omitted — it is the
 /// human rendering the JSON form exists to replace.
 JsonValue RunSummaryToJson(const RunSummary& summary);
+
+/// The relational engine's options for a run of any of the SQL simulators
+/// (QymeraSimulator and the alt_encodings.h ablations).
+sql::DatabaseOptions MakeDatabaseOptions(const QymeraOptions& options);
 
 /// Called after each materialized step with the intermediate state
 /// (education scenario: inspect |psi>_k evolving). Only fires in
@@ -97,10 +103,12 @@ class QymeraSimulator : public sim::Simulator {
 
   std::string name() const override { return "qymera-sql"; }
 
-  /// Full run: execute in the RDBMS and read the final state back.
+  /// Full run: execute in the RDBMS and read the final state back. The
+  /// run's counters and operator profile land in last_summary().
   Result<sim::SparseState> Run(const qc::QuantumCircuit& circuit) override;
 
-  /// Run and keep the state in the database; returns counters only.
+  /// The same run and SQL as Run() minus the final state readback; returns
+  /// the counters only (also kept in last_summary()).
   Result<RunSummary> Execute(const qc::QuantumCircuit& circuit);
 
   /// Expose the SQL that Run would execute (education / debugging / tests).
@@ -111,27 +119,22 @@ class QymeraSimulator : public sim::Simulator {
 
   const QymeraOptions& qymera_options() const { return qopts_; }
 
-  /// Per-operator stats of the most recent Run() (empty before any run;
-  /// Execute() returns the profile in RunSummary instead).
-  const std::string& last_operator_profile() const {
-    return last_operator_profile_;
-  }
-
-  /// Counters of the most recent successful Run()/Execute() (zeroed before
-  /// any run). Backs --stats-json without forcing callers through
-  /// Execute().
+  /// Counters and operator profile of the most recent successful
+  /// Run()/Execute() (empty before any run). Backs --stats and --stats-json
+  /// without forcing callers through Execute().
   const RunSummary& last_summary() const { return last_summary_; }
 
  private:
-  sql::DatabaseOptions MakeDbOptions() const;
-  Result<RunSummary> ExecuteInternal(const qc::QuantumCircuit& circuit,
-                                     sql::Database* db,
-                                     std::string* final_table,
-                                     int* num_qubits);
+  /// Fuse *circuit in place (when enabled) and translate it: the one path
+  /// from options to SQL for Translate(), Run() and Execute().
+  Result<Translation> PrepareAndTranslate(qc::QuantumCircuit* circuit) const;
+  /// The body of Run() and Execute(): execute in a fresh database and, when
+  /// `final_state` is non-null, read the final state relation into it.
+  Result<RunSummary> RunInternal(const qc::QuantumCircuit& circuit,
+                                 sim::SparseState* final_state);
 
   QymeraOptions qopts_;
   StepCallback step_callback_;
-  std::string last_operator_profile_;
   RunSummary last_summary_;
 };
 

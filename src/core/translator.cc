@@ -23,23 +23,32 @@ std::string StepSelectSql(const qc::Gate& gate, const std::string& in,
                           const std::string& g,
                           const TranslateOptions& options) {
   std::string out_expr = ScatterExpr(in, g, gate.qubits, options.use_hugeint);
-  std::string in_expr = GatherExpr(in, gate.qubits);
+  return AmplitudeProductSelect(out_expr + " AS s", in, g,
+                                g + ".in_s = " + GatherExpr(in, gate.qubits),
+                                out_expr, options.prune_epsilon);
+}
+
+}  // namespace
+
+std::string AmplitudeProductSelect(const std::string& keys,
+                                   const std::string& in, const std::string& g,
+                                   const std::string& on,
+                                   const std::string& group_by,
+                                   double prune_epsilon) {
   std::string sum_r =
       "SUM((" + in + ".r * " + g + ".r) - (" + in + ".i * " + g + ".i))";
   std::string sum_i =
       "SUM((" + in + ".r * " + g + ".i) + (" + in + ".i * " + g + ".r))";
-  std::string sql = "SELECT " + out_expr + " AS s, " + sum_r + " AS r, " +
-                    sum_i + " AS i FROM " + in + " JOIN " + g + " ON " + g +
-                    ".in_s = " + in_expr + " GROUP BY " + out_expr;
-  if (options.prune_epsilon > 0) {
-    double eps2 = options.prune_epsilon * options.prune_epsilon;
+  std::string sql = "SELECT " + keys + ", " + sum_r + " AS r, " + sum_i +
+                    " AS i FROM " + in + " JOIN " + g + " ON " + on +
+                    " GROUP BY " + group_by;
+  if (prune_epsilon > 0) {
+    double eps2 = prune_epsilon * prune_epsilon;
     sql += " HAVING ((" + sum_r + " * " + sum_r + ") + (" + sum_i + " * " +
            sum_i + ")) > " + qy::DoubleToSql(eps2);
   }
   return sql;
 }
-
-}  // namespace
 
 std::string GatherExpr(const std::string& table,
                        const std::vector<int>& qubits) {

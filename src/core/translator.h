@@ -64,6 +64,17 @@ struct Translation {
 Result<Translation> TranslateCircuit(const qc::QuantumCircuit& circuit,
                                      const TranslateOptions& options = {});
 
+/// One gate step over state relation `in` and gate relation `g` (paper
+/// Fig. 2c): "SELECT <keys>, SUM(...) AS r, SUM(...) AS i FROM <in> JOIN <g>
+/// ON <on> GROUP BY <group_by>", the complex products of the two relations'
+/// amplitudes summed per output state, plus "HAVING r*r + i*i > eps^2" when
+/// prune_epsilon > 0. `keys` are the select items of the output index.
+std::string AmplitudeProductSelect(const std::string& keys,
+                                   const std::string& in, const std::string& g,
+                                   const std::string& on,
+                                   const std::string& group_by,
+                                   double prune_epsilon);
+
 /// Expression that extracts the gate-local input index from `table`.s
 /// (the join key: paper's "filter qubit for input states").
 std::string GatherExpr(const std::string& table,

@@ -1,5 +1,6 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +125,53 @@ Status BlobReader::Index(BasisIndex* idx) {
   QY_RETURN_IF_ERROR(U64(&hi));
   *idx = (static_cast<BasisIndex>(hi) << 64) | lo;
   return Status::OK();
+}
+
+std::string EncodeSparseAmplitudes(
+    const std::vector<std::pair<BasisIndex, Complex>>& amplitudes) {
+  BlobWriter w;
+  w.U64(amplitudes.size());
+  for (const auto& [idx, amp] : amplitudes) {
+    w.Index(idx);
+    w.C128(amp);
+  }
+  return w.TakeBytes();
+}
+
+Result<std::vector<std::pair<BasisIndex, Complex>>> DecodeSparseAmplitudes(
+    const std::string& payload, int num_qubits) {
+  constexpr uint64_t kEntryBytes = 4 * sizeof(uint64_t);
+  BlobReader r(payload);
+  uint64_t nnz;
+  QY_RETURN_IF_ERROR(r.U64(&nnz));
+  if (nnz > (payload.size() - sizeof(uint64_t)) / kEntryBytes) {
+    return Status::DataLoss("checkpoint amplitude count " +
+                            std::to_string(nnz) + " exceeds the payload");
+  }
+  std::vector<std::pair<BasisIndex, Complex>> amps;
+  amps.reserve(nnz);
+  BasisIndex limit = BasisIndex{1} << num_qubits;
+  for (uint64_t i = 0; i < nnz; ++i) {
+    BasisIndex idx;
+    Complex amp;
+    QY_RETURN_IF_ERROR(r.Index(&idx));
+    QY_RETURN_IF_ERROR(r.C128(&amp));
+    if (idx >= limit) {
+      return Status::DataLoss("checkpoint amplitude index out of range");
+    }
+    amps.emplace_back(idx, amp);
+  }
+  if (!r.AtEnd()) {
+    return Status::DataLoss("checkpoint payload has trailing bytes");
+  }
+  std::sort(amps.begin(), amps.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 1; i < amps.size(); ++i) {
+    if (amps[i].first == amps[i - 1].first) {
+      return Status::DataLoss("checkpoint has duplicate amplitude indices");
+    }
+  }
+  return amps;
 }
 
 CheckpointStore::CheckpointStore(std::string dir)

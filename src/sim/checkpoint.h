@@ -6,7 +6,9 @@
 ///   file     := [magic:u64] [manifest_len:u32] [manifest_crc:u32] manifest
 ///               [payload_len:u64] [payload_crc:u32] payload
 ///   manifest := compact JSON (version, backend, fingerprints, gate index)
-///   payload  := backend-native serialized state (BlobWriter format)
+///   payload  := backend-native serialized state (BlobWriter format; the
+///               sparse amplitude list of EncodeSparseAmplitudes for every
+///               backend except MPS)
 ///
 /// It is published with AtomicWriteFile (write-tmp / fsync / rename /
 /// fsync-dir), so a reader sees either the previous complete checkpoint or
@@ -24,6 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.h"
 #include "sim/simulator.h"
@@ -76,6 +80,21 @@ class BlobReader {
   const std::string& bytes_;
   size_t pos_ = 0;
 };
+
+/// Sparse amplitude list, the checkpoint payload of every backend except MPS:
+///
+///   [nnz:u64] then nnz x ([idx_lo:u64][idx_hi:u64][re:f64][im:f64])
+///
+/// Entries are written in the caller's order.
+std::string EncodeSparseAmplitudes(
+    const std::vector<std::pair<BasisIndex, Complex>>& amplitudes);
+
+/// Inverse of EncodeSparseAmplitudes, sorted ascending by index. A malformed
+/// payload is kDataLoss: nnz must fit in the remaining bytes (checked before
+/// anything is allocated), every index must be < 2^num_qubits, no index may
+/// repeat, and no bytes may follow the last entry.
+Result<std::vector<std::pair<BasisIndex, Complex>>> DecodeSparseAmplitudes(
+    const std::string& payload, int num_qubits);
 
 /// Digest of the SimOptions fields that influence the simulated state
 /// (prune epsilon, MPS bond limits). Recorded in the manifest so a resume

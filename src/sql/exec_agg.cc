@@ -513,6 +513,7 @@ class HashAggNode : public ExecNode {
       for (auto& p : partitions_) {
         QY_RETURN_IF_ERROR(p.writer->Flush());
         if (p.file->bytes_written() > 0) {
+          ctx_->temp_files->AddSpilledBytes(p.file->bytes_written());
           pending_.push_back({std::move(p.file), 0});
         }
       }
@@ -879,6 +880,7 @@ class HashAggNode : public ExecNode {
       for (auto& p : sub) {
         QY_RETURN_IF_ERROR(p.writer->Flush());
         if (p.records > 0 || p.file->bytes_written() > 0) {
+          ctx_->temp_files->AddSpilledBytes(p.file->bytes_written());
           pending_.push_back({std::move(p.file), part.depth + 1});
         }
       }

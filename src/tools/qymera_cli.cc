@@ -303,7 +303,7 @@ int CmdRun(const qc::QuantumCircuit& circuit, const CliOptions& cli) {
               static_cast<unsigned long long>(m.backend_stat));
   if (cli.stats && *backend == bench::Backend::kQymeraSql) {
     auto* qymera = static_cast<core::QymeraSimulator*>(simulator.get());
-    std::printf("%s", qymera->last_operator_profile().c_str());
+    std::printf("%s", qymera->last_summary().operator_profile.c_str());
   }
   if (cli.stats_json && *backend == bench::Backend::kQymeraSql) {
     auto* qymera = static_cast<core::QymeraSimulator*>(simulator.get());

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "bench/runner.h"
 #include "circuit/families.h"
 #include "common/cancellation.h"
 #include "common/thread_pool.h"
@@ -193,6 +194,20 @@ TEST(CancellationTest, AllInMemoryBackendsHonourPreCancelledContext) {
   for (const test::BackendFactory& factory : test::InMemoryBackends()) {
     SCOPED_TRACE(factory.name);
     auto state = factory.make(options)->Run(qc::Ghz(4));
+    ASSERT_FALSE(state.ok());
+    EXPECT_EQ(state.status().code(), StatusCode::kCancelled);
+  }
+}
+
+TEST(CancellationTest, AblationSqlBackendsHonourPreCancelledContext) {
+  QueryContext query;
+  query.Cancel();
+  sim::SimOptions options;
+  options.query = &query;
+  for (bench::Backend backend :
+       {bench::Backend::kSqlString, bench::Backend::kSqlTensor}) {
+    SCOPED_TRACE(bench::BackendName(backend));
+    auto state = bench::MakeSimulator(backend, options)->Run(qc::Ghz(4));
     ASSERT_FALSE(state.ok());
     EXPECT_EQ(state.status().code(), StatusCode::kCancelled);
   }

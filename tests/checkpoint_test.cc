@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bench/runner.h"
 #include "circuit/families.h"
@@ -151,6 +152,76 @@ TEST(BlobCodecTest, ReadingPastTheEndIsDataLossNotUb) {
   ASSERT_TRUE(r2.U32(&ok_v).ok());
   Complex c;
   EXPECT_EQ(r2.C128(&c).code(), StatusCode::kDataLoss);
+}
+
+// ---- sparse amplitude payload (statevector, sparse, dd, qymera-sql) ----
+
+/// [nnz] then one entry per index with amplitude 0.5+0.25i, written field by
+/// field so the tests pin the on-disk layout independently of
+/// EncodeSparseAmplitudes.
+std::string AmplitudePayload(uint64_t nnz,
+                             const std::vector<BasisIndex>& indices) {
+  BlobWriter w;
+  w.U64(nnz);
+  for (BasisIndex idx : indices) {
+    w.Index(idx);
+    w.C128(Complex{0.5, 0.25});
+  }
+  return w.TakeBytes();
+}
+
+struct MalformedPayload {
+  const char* what;
+  std::string payload;
+};
+
+/// One payload per decoder rule, for a 4-qubit state.
+std::vector<MalformedPayload> MalformedAmplitudePayloads() {
+  return {
+      {"duplicate index", AmplitudePayload(2, {3, 3})},
+      {"index >= 2^n", AmplitudePayload(1, {BasisIndex{1} << 4})},
+      {"nnz = 2^60 with 2 entries",
+       AmplitudePayload(uint64_t{1} << 60, {0, 15})},
+      {"trailing byte", AmplitudePayload(2, {0, 15}) + '\0'},
+  };
+}
+
+TEST(SparseAmplitudeCodecTest, LayoutAndRoundTrip) {
+  std::vector<std::pair<BasisIndex, Complex>> amps = {{15, {0.5, 0.25}},
+                                                      {0, {0.5, 0.25}}};
+  std::string bytes = EncodeSparseAmplitudes(amps);
+  EXPECT_EQ(bytes.size(), 8u + 2 * 32u);
+  EXPECT_EQ(bytes, AmplitudePayload(2, {15, 0})) << "caller's order on disk";
+  auto decoded = DecodeSparseAmplitudes(bytes, 4);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 2u);
+  EXPECT_TRUE((*decoded)[0].first == 0) << "decoded list is sorted";
+  EXPECT_TRUE((*decoded)[1].first == 15);
+  EXPECT_EQ((*decoded)[1].second, (Complex{0.5, 0.25}));
+
+  auto empty = DecodeSparseAmplitudes(EncodeSparseAmplitudes({}), 4);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->empty());
+
+  BasisIndex wide = (BasisIndex{1} << 100) | BasisIndex{7};
+  auto wide_decoded =
+      DecodeSparseAmplitudes(EncodeSparseAmplitudes({{wide, {1, 0}}}), 101);
+  ASSERT_TRUE(wide_decoded.ok()) << wide_decoded.status().ToString();
+  EXPECT_TRUE((*wide_decoded)[0].first == wide);
+}
+
+TEST(SparseAmplitudeCodecTest, MalformedPayloadsAreDataLoss) {
+  std::vector<MalformedPayload> cases = MalformedAmplitudePayloads();
+  cases.push_back({"empty", ""});
+  cases.push_back(
+      {"truncated entry", AmplitudePayload(2, {0, 15}).substr(0, 40)});
+  for (const MalformedPayload& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto got = DecodeSparseAmplitudes(c.payload, 4);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
+        << got.status().ToString();
+  }
 }
 
 CheckpointManifest TestManifest() {
@@ -393,6 +464,45 @@ TEST(CheckpointSessionTest, AfterGateHonoursInterval) {
   }
   EXPECT_EQ(calls, 3) << "gates 3, 6, 9";
   EXPECT_EQ(session.checkpoints_written(), 3u);
+}
+
+// ---- malformed payload behind a valid manifest ----
+
+TEST(CheckpointResumeTest, MalformedAmplitudePayloadIsDataLossOnEveryBackend) {
+  qc::QuantumCircuit circuit = qc::Ghz(4);
+  core::QymeraOptions qopts;  // materialized steps
+  for (bench::Backend backend :
+       {bench::Backend::kStatevector, bench::Backend::kSparse,
+        bench::Backend::kDd, bench::Backend::kQymeraSql}) {
+    SCOPED_TRACE(bench::BackendName(backend));
+    ScopedDir dir;
+    // A clean checkpointing run supplies a manifest that matches this run,
+    // so only the payload can be at fault.
+    {
+      auto sim = bench::MakeSimulator(
+          backend, CheckpointOptions(dir.path, 1, /*resume=*/false), &qopts);
+      auto clean_run = sim->Run(circuit);
+      ASSERT_TRUE(clean_run.ok()) << clean_run.status().ToString();
+    }
+    CheckpointStore store(dir.path);
+    auto clean = store.Load();
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    for (const MalformedPayload& c : MalformedAmplitudePayloads()) {
+      SCOPED_TRACE(c.what);
+      ASSERT_TRUE(store.Write(clean->manifest, c.payload).ok());
+      auto sim = bench::MakeSimulator(
+          backend, CheckpointOptions(dir.path, 1, /*resume=*/true), &qopts);
+      auto got = sim->Run(circuit);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
+          << got.status().ToString();
+      // Nothing was simulated or checkpointed from the bad payload.
+      auto after = store.Load();
+      ASSERT_TRUE(after.ok()) << after.status().ToString();
+      EXPECT_EQ(after->payload, c.payload);
+      EXPECT_EQ(after->manifest.gate_index, clean->manifest.gate_index);
+    }
+  }
 }
 
 // ---- resume == uninterrupted, across all backends ----

@@ -37,6 +37,8 @@ TEST(SpillTest, SpilledAggregateMatchesInMemory) {
   auto got = small.Execute("SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k ORDER BY k");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_GT(got->stats.rows_spilled, 0u) << "budget did not trigger a spill";
+  EXPECT_GT(small.temp_files().total_spilled_bytes(), 0u);
+  EXPECT_EQ(ref.temp_files().total_spilled_bytes(), 0u);
 
   ASSERT_EQ(got->NumRows(), expect->NumRows());
   for (uint64_t r = 0; r < got->NumRows(); ++r) {
