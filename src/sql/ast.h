@@ -43,7 +43,8 @@ struct Expr {
   bool case_has_else = false;       // kCase: children end with ELSE expr
   DataType cast_type = DataType::kBigInt;  // kCast
 
-  /// Canonical text form; used for GROUP BY matching and error messages.
+  /// Canonical text form, for error messages, EXPLAIN and the names of
+  /// un-aliased derived columns.
   std::string ToString() const;
 
   ExprPtr Clone() const;

@@ -319,48 +319,63 @@ class SourceResolver : public ColumnResolver {
 
   Result<BoundExprPtr> ResolveColumn(const std::string& table,
                                      const std::string& column) override {
-    int found_idx = -1;
-    DataType found_type = DataType::kBigInt;
-    for (const auto& bt : *tables_) {
-      if (!table.empty() && !EqualsIgnoreCase(bt.alias, table)) continue;
-      int ci = bt.schema->FindColumn(column);
-      if (ci >= 0) {
-        if (found_idx >= 0) {
-          return Status::BindError("ambiguous column reference: " + column);
-        }
-        found_idx = bt.offset + ci;
-        found_type = bt.schema->column(ci).type;
-      }
+    Match m = Find(table, column);
+    if (m.ambiguous) {
+      return Status::BindError("ambiguous column reference: " + column);
     }
-    if (found_idx < 0) {
+    if (m.index < 0) {
       return Status::BindError("column not found: " +
                                (table.empty() ? column : table + "." + column));
     }
-    return MakeBoundColumnRef(found_idx, found_type);
+    return MakeBoundColumnRef(m.index, m.type);
+  }
+
+  /// The combined-layout index `[table.]column` resolves to, or -1 when it
+  /// is unknown or ambiguous.
+  int ColumnIndex(const std::string& table, const std::string& column) const {
+    Match m = Find(table, column);
+    return m.ambiguous ? -1 : m.index;
   }
 
  private:
+  struct Match {
+    int index = -1;
+    DataType type = DataType::kBigInt;
+    bool ambiguous = false;
+  };
+
+  Match Find(const std::string& table, const std::string& column) const {
+    Match m;
+    for (const auto& bt : *tables_) {
+      if (!table.empty() && !EqualsIgnoreCase(bt.alias, table)) continue;
+      int ci = bt.schema->FindColumn(column);
+      if (ci < 0) continue;
+      if (m.index >= 0) {
+        m.ambiguous = true;
+        return m;
+      }
+      m.index = bt.offset + ci;
+      m.type = bt.schema->column(ci).type;
+    }
+    return m;
+  }
+
   const std::vector<BoundTable>* tables_;
 };
 
-/// Resolver for aggregate contexts: matches group keys textually, collects
-/// aggregate specs, forbids bare columns outside aggregates.
+/// Resolver for aggregate contexts: matches GROUP BY keys and repeated
+/// aggregate calls structurally (SameExpr), collects aggregate specs, and
+/// forbids bare columns outside aggregates.
 class AggResolver : public ColumnResolver {
  public:
-  AggResolver(SourceResolver* source, const std::vector<std::string>* key_texts,
+  AggResolver(SourceResolver* source, const std::vector<const Expr*>* keys,
               const std::vector<DataType>* key_types,
-              std::vector<BoundAggSpec>* aggs,
-              std::vector<std::string>* agg_texts)
-      : source_(source),
-        key_texts_(key_texts),
-        key_types_(key_types),
-        aggs_(aggs),
-        agg_texts_(agg_texts) {}
+              std::vector<BoundAggSpec>* aggs)
+      : source_(source), keys_(keys), key_types_(key_types), aggs_(aggs) {}
 
   Result<BoundExprPtr> ResolveWhole(const Expr& expr) override {
-    std::string text = expr.ToString();
-    for (size_t i = 0; i < key_texts_->size(); ++i) {
-      if ((*key_texts_)[i] == text) {
+    for (size_t i = 0; i < keys_->size(); ++i) {
+      if (SameExpr(expr, *(*keys_)[i])) {
         return MakeBoundColumnRef(static_cast<int>(i), (*key_types_)[i]);
       }
     }
@@ -375,10 +390,9 @@ class AggResolver : public ColumnResolver {
   }
 
   Result<BoundExprPtr> ResolveAggregate(const Expr& expr) override {
-    std::string text = expr.ToString();
-    int num_keys = static_cast<int>(key_texts_->size());
-    for (size_t i = 0; i < agg_texts_->size(); ++i) {
-      if ((*agg_texts_)[i] == text) {
+    int num_keys = static_cast<int>(keys_->size());
+    for (size_t i = 0; i < calls_.size(); ++i) {
+      if (SameExpr(expr, *calls_[i])) {
         return MakeBoundColumnRef(num_keys + static_cast<int>(i),
                                   (*aggs_)[i].result_type);
       }
@@ -422,17 +436,65 @@ class AggResolver : public ColumnResolver {
       }
     }
     aggs_->push_back(std::move(spec));
-    agg_texts_->push_back(text);
+    calls_.push_back(&expr);
     return MakeBoundColumnRef(num_keys + static_cast<int>(aggs_->size()) - 1,
                               aggs_->back().result_type);
   }
 
  private:
+  /// True when `a` and `b` compute the same value: the same shape,
+  /// operators, literals and function names (in any case), with column
+  /// references equal when they resolve to the same source column, however
+  /// they are spelled or qualified.
+  bool SameExpr(const Expr& a, const Expr& b) const {
+    if (&a == &b) return true;
+    if (a.kind != b.kind || a.children.size() != b.children.size()) {
+      return false;
+    }
+    switch (a.kind) {
+      case ExprKind::kLiteral:
+        if (a.literal.type() != b.literal.type() ||
+            !a.literal.Equals(b.literal)) {
+          return false;
+        }
+        break;
+      case ExprKind::kColumnRef: {
+        // The same spelling names the same column; keys and earlier calls
+        // bound successfully, so it also resolves.
+        if (EqualsIgnoreCase(a.column, b.column) &&
+            EqualsIgnoreCase(a.table, b.table)) {
+          return true;
+        }
+        int index = source_->ColumnIndex(a.table, a.column);
+        return index >= 0 && index == source_->ColumnIndex(b.table, b.column);
+      }
+      case ExprKind::kStar:
+        return EqualsIgnoreCase(a.table, b.table);
+      case ExprKind::kUnary:
+      case ExprKind::kBinary:
+        if (a.op != b.op) return false;
+        break;
+      case ExprKind::kFunction:
+        if (!EqualsIgnoreCase(a.op, b.op)) return false;
+        break;
+      case ExprKind::kCase:
+        if (a.case_has_else != b.case_has_else) return false;
+        break;
+      case ExprKind::kCast:
+        if (a.cast_type != b.cast_type) return false;
+        break;
+    }
+    for (size_t i = 0; i < a.children.size(); ++i) {
+      if (!SameExpr(*a.children[i], *b.children[i])) return false;
+    }
+    return true;
+  }
+
   SourceResolver* source_;
-  const std::vector<std::string>* key_texts_;
+  const std::vector<const Expr*>* keys_;
   const std::vector<DataType>* key_types_;
   std::vector<BoundAggSpec>* aggs_;
-  std::vector<std::string>* agg_texts_;
+  std::vector<const Expr*> calls_;  ///< the call behind each of *aggs_
 };
 
 /// Resolver over a plain output schema (ORDER BY binding).
@@ -728,9 +790,7 @@ class Binder {
         return plan;
       }
       case TableRef::Kind::kJoin: {
-        std::vector<BoundTable> left_tables = *tables;
         QY_ASSIGN_OR_RETURN(PlanNodePtr left, BindTableRef(*tr.left, tables));
-        size_t left_end = tables->size();
         QY_ASSIGN_OR_RETURN(PlanNodePtr right, BindTableRef(*tr.right, tables));
         int left_ncols = static_cast<int>(left->output_schema.NumColumns());
         // Combined layout for condition binding.
@@ -805,8 +865,6 @@ class Binder {
         }
         join->children.push_back(std::move(left));
         join->children.push_back(std::move(right));
-        (void)left_tables;
-        (void)left_end;
         return join;
       }
     }
@@ -825,7 +883,8 @@ class Binder {
                          std::vector<std::string>* item_names) {
     if (!*plan) return Status::BindError("aggregation requires FROM");
     // Resolve GROUP BY expressions (with ordinal support).
-    std::vector<ExprPtr> group_asts;
+    std::vector<const Expr*> keys;
+    keys.reserve(select.group_by.size());
     for (const auto& g : select.group_by) {
       if (g->kind == ExprKind::kLiteral &&
           g->literal.type() == DataType::kBigInt && !g->literal.is_null()) {
@@ -833,25 +892,21 @@ class Binder {
         if (ordinal < 1 || ordinal > static_cast<int64_t>(select.items.size())) {
           return Status::BindError("GROUP BY ordinal out of range");
         }
-        group_asts.push_back(select.items[ordinal - 1].expr->Clone());
+        keys.push_back(select.items[ordinal - 1].expr.get());
       } else {
-        group_asts.push_back(g->Clone());
+        keys.push_back(g.get());
       }
     }
-    std::vector<std::string> key_texts;
     std::vector<DataType> key_types;
     auto agg_node = std::make_unique<PlanNode>();
     agg_node->kind = PlanNode::Kind::kAggregate;
-    for (const auto& g : group_asts) {
+    for (const Expr* g : keys) {
       QY_ASSIGN_OR_RETURN(BoundExprPtr key, BindExpr(*g, source));
-      key_texts.push_back(g->ToString());
       key_types.push_back(key->type);
       agg_node->group_keys.push_back(std::move(key));
     }
 
-    std::vector<std::string> agg_texts;
-    AggResolver agg_resolver(source, &key_texts, &key_types, &agg_node->aggs,
-                             &agg_texts);
+    AggResolver agg_resolver(source, &keys, &key_types, &agg_node->aggs);
     for (const auto& item : select.items) {
       if (item.expr->kind == ExprKind::kStar) {
         return Status::BindError("'*' in aggregate SELECT list");

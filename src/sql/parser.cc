@@ -1,29 +1,60 @@
 #include "sql/parser.h"
 
+#include <charconv>
 #include <cstdlib>
-
-#include "common/strings.h"
 
 namespace qy::sql {
 
 namespace {
 
-/// Words that terminate an expression / cannot start an operand, so a bare
-/// identifier in expression position that matches one is a syntax error
-/// rather than a column reference.
-bool IsReservedWord(const std::string& word) {
-  static const char* kReserved[] = {
-      "SELECT", "FROM",  "WHERE",  "GROUP",  "BY",     "HAVING", "ORDER",
-      "LIMIT",  "JOIN",  "ON",     "AS",     "WITH",   "AND",    "OR",
-      "NOT",    "CASE",  "WHEN",   "THEN",   "ELSE",   "END",    "CAST",
-      "CREATE", "TABLE", "INSERT", "INTO",   "VALUES", "DROP",   "DISTINCT",
-      "ASC",    "DESC",  "NULL",   "TRUE",   "FALSE",  "INNER",  "LEFT",
-      "CROSS",  "EXPLAIN", "IS",   "UNION",  "REPLACE", "IF",    "EXISTS",
-  };
-  for (const char* kw : kReserved) {
-    if (EqualsIgnoreCase(word, kw)) return true;
+// Expression precedence levels, loosest first. Binary operators are
+// left-associative, except the comparison level: a comparison or
+// IS [NOT] NULL takes operands of the next tighter level, so `a = b = c` and
+// `a IS NULL = b` are errors. NOT is a prefix operator between AND and the
+// comparisons; unary -, + and ~ bind tighter than every binary operator.
+enum Level : int {
+  kNotAnOperator = 0,
+  kOrLevel,
+  kAndLevel,
+  kNotLevel,
+  kComparisonLevel,      // = <> < <= > >=, IS [NOT] NULL
+  kBitOrLevel,           // | ||
+  kBitXorLevel,          // ^
+  kBitAndLevel,          // &
+  kShiftLevel,           // << >>
+  kAdditiveLevel,        // + -
+  kMultiplicativeLevel,  // * / %
+};
+
+/// The binary operator table: the level of the operator `t` spells, or
+/// kNotAnOperator.
+Level BinaryLevel(const Token& t) {
+  switch (t.keyword) {
+    case Keyword::kOr: return kOrLevel;
+    case Keyword::kAnd: return kAndLevel;
+    case Keyword::kIs: return kComparisonLevel;
+    default: break;
   }
-  return false;
+  switch (t.symbol) {
+    case Symbol::kEq:
+    case Symbol::kNe:
+    case Symbol::kLt:
+    case Symbol::kLe:
+    case Symbol::kGt:
+    case Symbol::kGe: return kComparisonLevel;
+    case Symbol::kPipe:
+    case Symbol::kConcat: return kBitOrLevel;
+    case Symbol::kCaret: return kBitXorLevel;
+    case Symbol::kAmp: return kBitAndLevel;
+    case Symbol::kShl:
+    case Symbol::kShr: return kShiftLevel;
+    case Symbol::kPlus:
+    case Symbol::kMinus: return kAdditiveLevel;
+    case Symbol::kStar:
+    case Symbol::kSlash:
+    case Symbol::kPercent: return kMultiplicativeLevel;
+    default: return kNotAnOperator;
+  }
 }
 
 class Parser {
@@ -32,7 +63,7 @@ class Parser {
 
   Result<Statement> ParseSingle() {
     QY_ASSIGN_OR_RETURN(Statement stmt, ParseStatementInner());
-    ConsumeSymbol(";");
+    ConsumeSymbol(Symbol::kSemicolon);
     if (!AtEnd()) return Error("unexpected trailing tokens");
     return stmt;
   }
@@ -42,7 +73,7 @@ class Parser {
     while (!AtEnd()) {
       QY_ASSIGN_OR_RETURN(Statement stmt, ParseStatementInner());
       out.push_back(std::move(stmt));
-      if (!ConsumeSymbol(";")) break;
+      if (!ConsumeSymbol(Symbol::kSemicolon)) break;
     }
     if (!AtEnd()) return Error("unexpected trailing tokens");
     return out;
@@ -55,31 +86,47 @@ class Parser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
   bool AtEnd() const { return Peek().type == TokenType::kEnd; }
-  Token Advance() { return tokens_[pos_++]; }
+  /// Consumes the current token; never moves past the end token.
+  const Token& Advance() {
+    const Token& t = tokens_[pos_];
+    if (t.type != TokenType::kEnd) ++pos_;
+    return t;
+  }
+  /// An identifier that may name a column, table or alias: bare words must
+  /// not be reserved.
+  bool AtUnreservedIdentifier() const {
+    return Peek().type == TokenType::kIdentifier &&
+           Peek().keyword == Keyword::kNone;
+  }
+  /// A SELECT, possibly with a WITH prefix, starts here.
+  bool AtSelect() const {
+    return Peek().IsKeyword(Keyword::kSelect) ||
+           Peek().IsKeyword(Keyword::kWith);
+  }
 
-  bool ConsumeKeyword(const char* kw) {
+  bool ConsumeKeyword(Keyword kw) {
     if (Peek().IsKeyword(kw)) {
       ++pos_;
       return true;
     }
     return false;
   }
-  bool ConsumeSymbol(const char* s) {
+  bool ConsumeSymbol(Symbol s) {
     if (Peek().IsSymbol(s)) {
       ++pos_;
       return true;
     }
     return false;
   }
-  Status ExpectKeyword(const char* kw) {
+  Status ExpectKeyword(Keyword kw) {
     if (!ConsumeKeyword(kw)) {
-      return Error(std::string("expected keyword ") + kw);
+      return Error("expected keyword " + std::string(KeywordText(kw)));
     }
     return Status::OK();
   }
-  Status ExpectSymbol(const char* s) {
+  Status ExpectSymbol(Symbol s) {
     if (!ConsumeSymbol(s)) {
-      return Error(std::string("expected '") + s + "'");
+      return Error("expected '" + std::string(SymbolText(s)) + "'");
     }
     return Status::OK();
   }
@@ -90,42 +137,44 @@ class Parser {
                               "': " + what);
   }
 
+  /// Consumes an identifier and moves its text out: the parser never looks
+  /// back at a consumed token.
   Result<std::string> ExpectIdentifier(const char* what) {
     if (Peek().type != TokenType::kIdentifier) {
       return Error(std::string("expected ") + what);
     }
-    return Advance().text;
+    return std::move(tokens_[pos_++].text);
   }
 
   // ---- statements ----
   Result<Statement> ParseStatementInner() {
     Statement stmt;
-    if (Peek().IsKeyword("EXPLAIN")) {
+    if (Peek().IsKeyword(Keyword::kExplain)) {
       Advance();
       stmt.kind = Statement::Kind::kExplain;
       QY_ASSIGN_OR_RETURN(auto sel, ParseSelect());
       stmt.select = std::move(sel);
       return stmt;
     }
-    if (Peek().IsKeyword("SELECT") || Peek().IsKeyword("WITH")) {
+    if (AtSelect()) {
       stmt.kind = Statement::Kind::kSelect;
       QY_ASSIGN_OR_RETURN(auto sel, ParseSelect());
       stmt.select = std::move(sel);
       return stmt;
     }
-    if (Peek().IsKeyword("CREATE")) {
+    if (Peek().IsKeyword(Keyword::kCreate)) {
       QY_ASSIGN_OR_RETURN(auto create, ParseCreateTable());
       stmt.kind = Statement::Kind::kCreateTable;
       stmt.create_table = std::move(create);
       return stmt;
     }
-    if (Peek().IsKeyword("INSERT")) {
+    if (Peek().IsKeyword(Keyword::kInsert)) {
       QY_ASSIGN_OR_RETURN(auto insert, ParseInsert());
       stmt.kind = Statement::Kind::kInsert;
       stmt.insert = std::move(insert);
       return stmt;
     }
-    if (Peek().IsKeyword("DROP")) {
+    if (Peek().IsKeyword(Keyword::kDrop)) {
       QY_ASSIGN_OR_RETURN(auto drop, ParseDrop());
       stmt.kind = Statement::Kind::kDropTable;
       stmt.drop_table = std::move(drop);
@@ -137,30 +186,30 @@ class Parser {
   Result<std::unique_ptr<CreateTableStmt>> ParseCreateTable() {
     Advance();  // CREATE
     auto stmt = std::make_unique<CreateTableStmt>();
-    if (ConsumeKeyword("OR")) {
-      QY_RETURN_IF_ERROR(ExpectKeyword("REPLACE"));
+    if (ConsumeKeyword(Keyword::kOr)) {
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kReplace));
       stmt->or_replace = true;
     }
-    QY_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
-    if (ConsumeKeyword("IF")) {
-      QY_RETURN_IF_ERROR(ExpectKeyword("NOT"));
-      QY_RETURN_IF_ERROR(ExpectKeyword("EXISTS"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
+    if (ConsumeKeyword(Keyword::kIf)) {
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNot));
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       stmt->if_not_exists = true;
     }
     QY_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
-    if (ConsumeKeyword("AS")) {
+    if (ConsumeKeyword(Keyword::kAs)) {
       QY_ASSIGN_OR_RETURN(stmt->as_select, ParseSelect());
       return stmt;
     }
-    QY_RETURN_IF_ERROR(ExpectSymbol("("));
+    QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kLParen));
     while (true) {
       QY_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
       QY_ASSIGN_OR_RETURN(std::string type_name,
                           ExpectIdentifier("column type"));
       QY_ASSIGN_OR_RETURN(DataType type, ParseDataType(type_name));
       stmt->columns.push_back({std::move(col), type});
-      if (ConsumeSymbol(",")) continue;
-      QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+      if (ConsumeSymbol(Symbol::kComma)) continue;
+      QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
       break;
     }
     return stmt;
@@ -168,46 +217,45 @@ class Parser {
 
   Result<std::unique_ptr<InsertStmt>> ParseInsert() {
     Advance();  // INSERT
-    QY_RETURN_IF_ERROR(ExpectKeyword("INTO"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kInto));
     auto stmt = std::make_unique<InsertStmt>();
     QY_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
-    if (Peek().IsSymbol("(")) {
-      Advance();
+    if (ConsumeSymbol(Symbol::kLParen)) {
       while (true) {
         QY_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
         stmt->column_names.push_back(std::move(col));
-        if (ConsumeSymbol(",")) continue;
-        QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+        if (ConsumeSymbol(Symbol::kComma)) continue;
+        QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
         break;
       }
     }
-    if (Peek().IsKeyword("SELECT") || Peek().IsKeyword("WITH")) {
+    if (AtSelect()) {
       QY_ASSIGN_OR_RETURN(stmt->select, ParseSelect());
       return stmt;
     }
-    QY_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kValues));
     while (true) {
-      QY_RETURN_IF_ERROR(ExpectSymbol("("));
+      QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kLParen));
       std::vector<ExprPtr> row;
       while (true) {
         QY_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
         row.push_back(std::move(e));
-        if (ConsumeSymbol(",")) continue;
-        QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+        if (ConsumeSymbol(Symbol::kComma)) continue;
+        QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
         break;
       }
       stmt->values_rows.push_back(std::move(row));
-      if (!ConsumeSymbol(",")) break;
+      if (!ConsumeSymbol(Symbol::kComma)) break;
     }
     return stmt;
   }
 
   Result<std::unique_ptr<DropTableStmt>> ParseDrop() {
     Advance();  // DROP
-    QY_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
     auto stmt = std::make_unique<DropTableStmt>();
-    if (ConsumeKeyword("IF")) {
-      QY_RETURN_IF_ERROR(ExpectKeyword("EXISTS"));
+    if (ConsumeKeyword(Keyword::kIf)) {
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       stmt->if_exists = true;
     }
     QY_ASSIGN_OR_RETURN(stmt->table_name, ExpectIdentifier("table name"));
@@ -217,68 +265,73 @@ class Parser {
   // ---- SELECT ----
   Result<std::unique_ptr<SelectStmt>> ParseSelect() {
     auto select = std::make_unique<SelectStmt>();
-    if (ConsumeKeyword("WITH")) {
+    if (ConsumeKeyword(Keyword::kWith)) {
       while (true) {
         CommonTableExpr cte;
         QY_ASSIGN_OR_RETURN(cte.name, ExpectIdentifier("CTE name"));
-        QY_RETURN_IF_ERROR(ExpectKeyword("AS"));
-        QY_RETURN_IF_ERROR(ExpectSymbol("("));
+        QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kAs));
+        QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kLParen));
         QY_ASSIGN_OR_RETURN(cte.select, ParseSelect());
-        QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+        QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
         select->ctes.push_back(std::move(cte));
-        if (!ConsumeSymbol(",")) break;
+        if (!ConsumeSymbol(Symbol::kComma)) break;
       }
     }
-    QY_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
-    select->distinct = ConsumeKeyword("DISTINCT");
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kSelect));
+    select->distinct = ConsumeKeyword(Keyword::kDistinct);
     while (true) {
       SelectItem item;
       QY_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-      if (ConsumeKeyword("AS")) {
+      if (ConsumeKeyword(Keyword::kAs) || AtUnreservedIdentifier()) {
         QY_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("alias"));
-      } else if (Peek().type == TokenType::kIdentifier &&
-                 !IsReservedWord(Peek().text)) {
-        item.alias = Advance().text;
       }
       select->items.push_back(std::move(item));
-      if (!ConsumeSymbol(",")) break;
+      if (!ConsumeSymbol(Symbol::kComma)) break;
     }
-    if (ConsumeKeyword("FROM")) {
+    if (ConsumeKeyword(Keyword::kFrom)) {
       QY_ASSIGN_OR_RETURN(select->from, ParseTableRef());
     }
-    if (ConsumeKeyword("WHERE")) {
+    if (ConsumeKeyword(Keyword::kWhere)) {
       QY_ASSIGN_OR_RETURN(select->where, ParseExpr());
     }
-    if (ConsumeKeyword("GROUP")) {
-      QY_RETURN_IF_ERROR(ExpectKeyword("BY"));
+    if (ConsumeKeyword(Keyword::kGroup)) {
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
       while (true) {
         QY_ASSIGN_OR_RETURN(ExprPtr g, ParseExpr());
         select->group_by.push_back(std::move(g));
-        if (!ConsumeSymbol(",")) break;
+        if (!ConsumeSymbol(Symbol::kComma)) break;
       }
     }
-    if (ConsumeKeyword("HAVING")) {
+    if (ConsumeKeyword(Keyword::kHaving)) {
       QY_ASSIGN_OR_RETURN(select->having, ParseExpr());
     }
-    if (ConsumeKeyword("ORDER")) {
-      QY_RETURN_IF_ERROR(ExpectKeyword("BY"));
+    if (ConsumeKeyword(Keyword::kOrder)) {
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
       while (true) {
         OrderItem item;
         QY_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (ConsumeKeyword("DESC")) {
+        if (ConsumeKeyword(Keyword::kDesc)) {
           item.ascending = false;
         } else {
-          ConsumeKeyword("ASC");
+          ConsumeKeyword(Keyword::kAsc);
         }
         select->order_by.push_back(std::move(item));
-        if (!ConsumeSymbol(",")) break;
+        if (!ConsumeSymbol(Symbol::kComma)) break;
       }
     }
-    if (ConsumeKeyword("LIMIT")) {
-      if (Peek().type != TokenType::kIntLiteral) {
+    if (ConsumeKeyword(Keyword::kLimit)) {
+      const Token& t = Peek();
+      if (t.type != TokenType::kIntLiteral) {
         return Error("expected integer after LIMIT");
       }
-      select->limit = std::strtoll(Advance().text.c_str(), nullptr, 10);
+      int64_t limit = 0;
+      const char* end = t.text.data() + t.text.size();
+      auto [stop, ec] = std::from_chars(t.text.data(), end, limit);
+      if (ec != std::errc() || stop != end) {
+        return Error("LIMIT does not fit in BIGINT");
+      }
+      Advance();
+      select->limit = limit;
     }
     return select;
   }
@@ -288,19 +341,21 @@ class Parser {
     while (true) {
       bool is_join = false;
       bool has_condition = true;
-      if (Peek().IsKeyword("JOIN")) {
+      if (Peek().IsKeyword(Keyword::kJoin)) {
         Advance();
         is_join = true;
-      } else if (Peek().IsKeyword("INNER") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().IsKeyword(Keyword::kInner) &&
+                 Peek(1).IsKeyword(Keyword::kJoin)) {
         Advance();
         Advance();
         is_join = true;
-      } else if (Peek().IsKeyword("CROSS") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().IsKeyword(Keyword::kCross) &&
+                 Peek(1).IsKeyword(Keyword::kJoin)) {
         Advance();
         Advance();
         is_join = true;
         has_condition = false;
-      } else if (Peek().IsSymbol(",")) {
+      } else if (Peek().IsSymbol(Symbol::kComma)) {
         // Comma join = cross join (condition usually in WHERE).
         Advance();
         is_join = true;
@@ -313,7 +368,7 @@ class Parser {
       join->left = std::move(left);
       join->right = std::move(right);
       if (has_condition) {
-        QY_RETURN_IF_ERROR(ExpectKeyword("ON"));
+        QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kOn));
         QY_ASSIGN_OR_RETURN(join->join_condition, ParseExpr());
       }
       left = std::move(join);
@@ -323,157 +378,77 @@ class Parser {
 
   Result<std::unique_ptr<TableRef>> ParseTablePrimary() {
     auto tr = std::make_unique<TableRef>();
-    if (ConsumeSymbol("(")) {
+    if (ConsumeSymbol(Symbol::kLParen)) {
       tr->kind = TableRef::Kind::kSubquery;
       QY_ASSIGN_OR_RETURN(tr->subquery, ParseSelect());
-      QY_RETURN_IF_ERROR(ExpectSymbol(")"));
-      ConsumeKeyword("AS");
+      QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
+      ConsumeKeyword(Keyword::kAs);
       QY_ASSIGN_OR_RETURN(tr->alias, ExpectIdentifier("subquery alias"));
       return tr;
     }
     tr->kind = TableRef::Kind::kBase;
     QY_ASSIGN_OR_RETURN(tr->table_name, ExpectIdentifier("table name"));
-    tr->alias = tr->table_name;
-    if (ConsumeKeyword("AS")) {
+    if (ConsumeKeyword(Keyword::kAs) || AtUnreservedIdentifier()) {
       QY_ASSIGN_OR_RETURN(tr->alias, ExpectIdentifier("table alias"));
-    } else if (Peek().type == TokenType::kIdentifier &&
-               !IsReservedWord(Peek().text)) {
-      tr->alias = Advance().text;
+    } else {
+      tr->alias = tr->table_name;
     }
     return tr;
   }
 
-  // ---- expressions (precedence climbing) ----
-  // OR < AND < NOT < comparison < | < ^ < & < << >> < + - < * / % < unary
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  // ---- expressions (precedence climbing over BinaryLevel) ----
+  Result<ExprPtr> ParseExpr() { return ParseLevel(kOrLevel); }
 
-  Result<ExprPtr> ParseOr() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
-    while (Peek().IsKeyword("OR")) {
+  /// Parses an expression whose binary operators bind at `min_level` or
+  /// tighter. A prefix NOT is allowed where NOT's level is.
+  Result<ExprPtr> ParseLevel(Level min_level) {
+    ExprPtr lhs;
+    if (min_level <= kNotLevel && Peek().IsKeyword(Keyword::kNot)) {
       Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = MakeBinary("OR", std::move(lhs), std::move(rhs));
+      QY_ASSIGN_OR_RETURN(ExprPtr operand, ParseLevel(kNotLevel));
+      lhs = MakeUnary("NOT", std::move(operand));
+    } else {
+      QY_ASSIGN_OR_RETURN(lhs, ParseUnary());
     }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseAnd() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
-    while (Peek().IsKeyword("AND")) {
-      Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = MakeBinary("AND", std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseNot() {
-    if (ConsumeKeyword("NOT")) {
-      QY_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-      return MakeUnary("NOT", std::move(operand));
-    }
-    return ParseComparison();
-  }
-
-  Result<ExprPtr> ParseComparison() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBitOr());
-    // IS [NOT] NULL
-    if (Peek().IsKeyword("IS")) {
-      Advance();
-      bool negated = ConsumeKeyword("NOT");
-      QY_RETURN_IF_ERROR(ExpectKeyword("NULL"));
-      ExprPtr test = MakeFunction("ISNULL", {});
-      test->children.push_back(std::move(lhs));
-      if (negated) return MakeUnary("NOT", std::move(test));
-      return test;
-    }
-    static const char* kCmp[] = {"=", "<>", "<=", ">=", "<", ">"};
-    for (const char* op : kCmp) {
-      if (Peek().IsSymbol(op)) {
-        Advance();
-        QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBitOr());
-        return MakeBinary(op, std::move(lhs), std::move(rhs));
+    bool lhs_is_comparison = false;
+    while (true) {
+      const Token& op = Peek();
+      const Level level = BinaryLevel(op);
+      if (level < min_level) break;  // also ends at a non-operator
+      if (level == kComparisonLevel && lhs_is_comparison) {
+        return Error("comparisons do not chain; add parentheses");
       }
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseBitOr() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBitXor());
-    while (Peek().IsSymbol("|") || Peek().IsSymbol("||")) {
-      bool concat = Peek().IsSymbol("||");
       Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBitXor());
-      lhs = MakeBinary(concat ? "||" : "|", std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseBitXor() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBitAnd());
-    while (Peek().IsSymbol("^")) {
-      Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBitAnd());
-      lhs = MakeBinary("^", std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseBitAnd() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseShift());
-    while (Peek().IsSymbol("&")) {
-      Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseShift());
-      lhs = MakeBinary("&", std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseShift() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-    while (Peek().IsSymbol("<<") || Peek().IsSymbol(">>")) {
-      std::string op = Advance().text;
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseAdditive() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
-    while (Peek().IsSymbol("+") || Peek().IsSymbol("-")) {
-      std::string op = Advance().text;
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseMultiplicative() {
-    QY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
-    while (Peek().IsSymbol("*") || Peek().IsSymbol("/") ||
-           Peek().IsSymbol("%")) {
-      std::string op = Advance().text;
-      QY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
+      if (op.IsKeyword(Keyword::kIs)) {
+        const bool negated = ConsumeKeyword(Keyword::kNot);
+        QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNull));
+        std::vector<ExprPtr> arg;
+        arg.push_back(std::move(lhs));
+        lhs = MakeFunction("ISNULL", std::move(arg));
+        if (negated) lhs = MakeUnary("NOT", std::move(lhs));
+      } else {
+        QY_ASSIGN_OR_RETURN(ExprPtr rhs,
+                            ParseLevel(static_cast<Level>(level + 1)));
+        std::string text = op.keyword == Keyword::kNone
+                               ? op.text
+                               : std::string(KeywordText(op.keyword));
+        lhs = MakeBinary(std::move(text), std::move(lhs), std::move(rhs));
+      }
+      lhs_is_comparison = level == kComparisonLevel;
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseUnary() {
-    if (Peek().IsSymbol("-")) {
+    const Token& t = Peek();
+    if (t.IsSymbol(Symbol::kMinus) || t.IsSymbol(Symbol::kTilde)) {
       Advance();
       QY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return MakeUnary("-", std::move(operand));
+      return MakeUnary(t.text, std::move(operand));
     }
-    if (Peek().IsSymbol("+")) {
+    if (t.IsSymbol(Symbol::kPlus)) {
       Advance();
       return ParseUnary();
-    }
-    if (Peek().IsSymbol("~")) {
-      Advance();
-      QY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return MakeUnary("~", std::move(operand));
     }
     return ParsePrimary();
   }
@@ -496,13 +471,13 @@ class Parser {
         Advance();
         return MakeLiteral(Value::Varchar(t.text));
       case TokenType::kSymbol:
-        if (t.text == "(") {
+        if (t.IsSymbol(Symbol::kLParen)) {
           Advance();
           QY_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
-          QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+          QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
           return inner;
         }
-        if (t.text == "*") {
+        if (t.IsSymbol(Symbol::kStar)) {
           Advance();
           auto star = std::make_unique<Expr>();
           star->kind = ExprKind::kStar;
@@ -519,45 +494,44 @@ class Parser {
 
   Result<ExprPtr> ParseIdentifierExpr() {
     const Token& t = Peek();
-    if (t.IsKeyword("NULL")) {
-      Advance();
-      return MakeLiteral(Value::Null(DataType::kBigInt));
+    switch (t.keyword) {
+      case Keyword::kNone:
+        break;
+      case Keyword::kNull:
+        Advance();
+        return MakeLiteral(Value::Null(DataType::kBigInt));
+      case Keyword::kTrue:
+        Advance();
+        return MakeLiteral(Value::Bool(true));
+      case Keyword::kFalse:
+        Advance();
+        return MakeLiteral(Value::Bool(false));
+      case Keyword::kCase:
+        return ParseCase();
+      case Keyword::kCast:
+        return ParseCast();
+      default:
+        return Error("reserved word in expression: " + t.text);
     }
-    if (t.IsKeyword("TRUE")) {
-      Advance();
-      return MakeLiteral(Value::Bool(true));
-    }
-    if (t.IsKeyword("FALSE")) {
-      Advance();
-      return MakeLiteral(Value::Bool(false));
-    }
-    if (t.IsKeyword("CASE")) return ParseCase();
-    if (t.IsKeyword("CAST")) return ParseCast();
-    if (IsReservedWord(t.text)) {
-      return Error("reserved word in expression: " + t.text);
-    }
-    std::string first = Advance().text;
+    QY_ASSIGN_OR_RETURN(std::string first, ExpectIdentifier("identifier"));
     // Function call.
-    if (Peek().IsSymbol("(")) {
-      Advance();
+    if (ConsumeSymbol(Symbol::kLParen)) {
       std::vector<ExprPtr> args;
-      if (!Peek().IsSymbol(")")) {
+      if (!Peek().IsSymbol(Symbol::kRParen)) {
         // COUNT(DISTINCT x) is parsed but DISTINCT is rejected at bind.
-        ConsumeKeyword("DISTINCT");
+        ConsumeKeyword(Keyword::kDistinct);
         while (true) {
           QY_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
           args.push_back(std::move(arg));
-          if (!ConsumeSymbol(",")) break;
+          if (!ConsumeSymbol(Symbol::kComma)) break;
         }
       }
-      QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+      QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
       return MakeFunction(std::move(first), std::move(args));
     }
     // Qualified reference: table.column or table.*
-    if (Peek().IsSymbol(".")) {
-      Advance();
-      if (Peek().IsSymbol("*")) {
-        Advance();
+    if (ConsumeSymbol(Symbol::kDot)) {
+      if (ConsumeSymbol(Symbol::kStar)) {
         auto star = std::make_unique<Expr>();
         star->kind = ExprKind::kStar;
         star->table = std::move(first);
@@ -573,34 +547,34 @@ class Parser {
     Advance();  // CASE
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kCase;
-    while (ConsumeKeyword("WHEN")) {
+    while (ConsumeKeyword(Keyword::kWhen)) {
       QY_ASSIGN_OR_RETURN(ExprPtr when, ParseExpr());
-      QY_RETURN_IF_ERROR(ExpectKeyword("THEN"));
+      QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kThen));
       QY_ASSIGN_OR_RETURN(ExprPtr then, ParseExpr());
       e->children.push_back(std::move(when));
       e->children.push_back(std::move(then));
     }
     if (e->children.empty()) return Error("CASE requires at least one WHEN");
-    if (ConsumeKeyword("ELSE")) {
+    if (ConsumeKeyword(Keyword::kElse)) {
       QY_ASSIGN_OR_RETURN(ExprPtr els, ParseExpr());
       e->children.push_back(std::move(els));
       e->case_has_else = true;
     }
-    QY_RETURN_IF_ERROR(ExpectKeyword("END"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kEnd));
     return e;
   }
 
   Result<ExprPtr> ParseCast() {
     Advance();  // CAST
-    QY_RETURN_IF_ERROR(ExpectSymbol("("));
+    QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kLParen));
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kCast;
     QY_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
     e->children.push_back(std::move(inner));
-    QY_RETURN_IF_ERROR(ExpectKeyword("AS"));
+    QY_RETURN_IF_ERROR(ExpectKeyword(Keyword::kAs));
     QY_ASSIGN_OR_RETURN(std::string type_name, ExpectIdentifier("type name"));
     QY_ASSIGN_OR_RETURN(e->cast_type, ParseDataType(type_name));
-    QY_RETURN_IF_ERROR(ExpectSymbol(")"));
+    QY_RETURN_IF_ERROR(ExpectSymbol(Symbol::kRParen));
     return e;
   }
 

@@ -1,5 +1,6 @@
 /// \file parser.h
-/// Recursive-descent SQL parser producing AST statements.
+/// Recursive-descent SQL parser producing AST statements; expressions are
+/// parsed by precedence climbing.
 #pragma once
 
 #include <memory>

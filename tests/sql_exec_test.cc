@@ -123,6 +123,74 @@ TEST_F(SqlExecTest, GroupByExpressionMatchedByText) {
   EXPECT_DOUBLE_EQ(r.GetDouble(1, 1), 2.0);  // 2.5 + -0.5
 }
 
+TEST_F(SqlExecTest, GroupByMatchesColumnsBySourceColumn) {
+  // A select item matches a GROUP BY key when its column references resolve
+  // to the same source columns, whatever their case or qualification.
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE T0 (s BIGINT, r BIGINT);
+    INSERT INTO T0 VALUES (0, 1), (1, 2), (2, 4), (3, 8), (1, 16), (2, 32);
+  )").ok());
+  auto rows = [&](const std::string& sql) {
+    QueryResult r = Q(sql + " ORDER BY 1");
+    std::vector<std::string> out;
+    for (uint64_t i = 0; i < r.NumRows(); ++i) {
+      std::string row;
+      for (size_t c = 0; c < r.NumColumns(); ++c) {
+        row += r.GetValue(i, c).ToString() + " ";
+      }
+      out.push_back(row);
+    }
+    return out;
+  };
+  const std::vector<std::string> by_s =
+      rows("SELECT s, SUM(r) FROM T0 GROUP BY s");
+  ASSERT_EQ(by_s.size(), 4u);
+  for (const char* sql : {
+           "SELECT S, SUM(r) FROM T0 GROUP BY s",
+           "SELECT T0.s, SUM(r) FROM T0 GROUP BY t0.s",
+           "SELECT s, SUM(r) FROM T0 GROUP BY T0.s",
+           "SELECT t0.S, SUM(T0.R) FROM T0 GROUP BY s",
+       }) {
+    EXPECT_EQ(rows(sql), by_s) << sql;
+  }
+  const std::vector<std::string> by_parity =
+      rows("SELECT (s & 1) AS k, SUM(r) FROM T0 GROUP BY (s & 1)");
+  ASSERT_EQ(by_parity.size(), 2u);
+  EXPECT_EQ(rows("SELECT (s & 1) AS k, SUM(r) FROM T0 GROUP BY (S & 1)"),
+            by_parity);
+  EXPECT_EQ(rows("SELECT (T0.s & 1) AS k, sum(r) FROM T0 GROUP BY (s & 1) "
+                 "HAVING SUM(t0.r) > 0"),
+            by_parity);
+  // A different column or operator is still not the key.
+  EXPECT_EQ(Err("SELECT r, SUM(s) FROM T0 GROUP BY s").code(),
+            StatusCode::kBindError);
+  EXPECT_EQ(Err("SELECT (s | 1), SUM(r) FROM T0 GROUP BY (s & 1)").code(),
+            StatusCode::kBindError);
+}
+
+TEST_F(SqlExecTest, QuotedKeywordColumns) {
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE q ("order" BIGINT, "select" BIGINT, v DOUBLE);
+    INSERT INTO q VALUES (2, 1, 1.0), (1, 1, 2.0), (3, 2, 4.0);
+  )").ok());
+  QueryResult ordered = Q(R"(SELECT "order" FROM q ORDER BY "order" DESC)");
+  ASSERT_EQ(ordered.NumRows(), 3u);
+  EXPECT_EQ(ordered.schema().column(0).name, "order");
+  EXPECT_EQ(ordered.GetInt64(0, 0), 3);
+  EXPECT_EQ(ordered.GetInt64(2, 0), 1);
+  QueryResult grouped = Q(
+      R"(SELECT "select", SUM(v) FROM q GROUP BY "select" ORDER BY "select")");
+  ASSERT_EQ(grouped.NumRows(), 2u);
+  EXPECT_EQ(grouped.GetInt64(0, 0), 1);
+  EXPECT_DOUBLE_EQ(grouped.GetDouble(0, 1), 3.0);
+  EXPECT_EQ(grouped.GetInt64(1, 0), 2);
+  EXPECT_DOUBLE_EQ(grouped.GetDouble(1, 1), 4.0);
+  // Bare, the same words are reserved.
+  EXPECT_EQ(Err("SELECT order FROM q").code(), StatusCode::kParseError);
+  EXPECT_EQ(Err("SELECT v FROM q ORDER BY select").code(),
+            StatusCode::kParseError);
+}
+
 TEST_F(SqlExecTest, GroupByOrdinal) {
   QueryResult r = Q("SELECT b % 20, COUNT(*) FROM nums GROUP BY 1 ORDER BY 1");
   ASSERT_EQ(r.NumRows(), 2u);
