@@ -1,14 +1,16 @@
 /// \file exec_agg.cc
 /// Hash aggregation with partitioned disk spill.
 ///
-/// In-memory operation keeps one hash-table entry per group. Under memory
-/// pressure (MemoryTracker budget), all partial states are flushed to 16
-/// hash partitions on disk and the table is cleared; this repeats as needed.
-/// Finalization merges each partition independently (partial aggregate
-/// states are algebraic: SUM/COUNT/MIN/MAX combine, AVG = sum+count),
-/// recursing with deeper hash bits when a single partition still exceeds the
-/// budget. This mirrors classic Grace/hybrid hash aggregation and is the
-/// mechanism behind Qymera's out-of-core simulation (paper Sec. 3.3).
+/// A pass folds its input into an in-memory group table. When the table
+/// outgrows the memory budget (MemoryTracker), every group's partial state
+/// is written to one of 16 hash partitions on disk and the table starts
+/// over; this repeats as needed. A pass that spilled ends by writing its
+/// remaining groups too, and each partition is then merged back by the same
+/// pass over its records, routed one level of hash bits deeper (partial
+/// aggregate states are algebraic: SUM/COUNT/MIN/MAX combine, AVG =
+/// sum+count), spilling again if it still does not fit. This mirrors classic
+/// Grace/hybrid hash aggregation and is the mechanism behind Qymera's
+/// out-of-core simulation (paper Sec. 3.3).
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -26,18 +28,6 @@ namespace {
 
 constexpr int kNumPartitions = 16;
 constexpr int kMaxDepth = 4;
-
-/// Legacy FNV over SerializeValue bytes — still the hash that routes groups
-/// to spill partitions (GroupHash/RouteRecord must agree across processes
-/// and PRs, so it is independent of the in-memory table's hash).
-uint64_t HashBytes(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Row `i` of a BIGINT or HUGEINT key column, widened to 128 bits (0 for a
 /// NULL row, whose payload slot holds the zero default).
@@ -59,7 +49,8 @@ int128_t IntKeyAt(const ColumnVector& col, size_t i) {
 /// A spill record still carries every field, the unused ones as zero, so
 /// its layout does not depend on the function.
 struct AggStates {
-  explicit AggStates(const BoundAggSpec& spec) : func(spec.func) {
+  explicit AggStates(const BoundAggSpec& spec)
+      : func(spec.func), result_type(spec.result_type) {
     bool sum = func == AggFunc::kSum;
     uses_f64 = (sum && spec.result_type == DataType::kDouble) ||
                func == AggFunc::kAvg;
@@ -120,7 +111,49 @@ struct AggStates {
     }
   }
 
+  /// Fold row `r` of `src`, a partial state of the same aggregate, into
+  /// group `g`.
+  void MergeRow(uint32_t g, const AggStates& src, size_t r) {
+    if (uses_f64) f64[g] += src.f64[r];
+    if (uses_i128) i128[g] += src.i128[r];
+    if (uses_count) count[g] += src.count[r];
+    if (uses_has) has[g] |= src.has[r];
+    if (uses_minmax && !src.minmax[r].is_null()) FoldMinMax(g, src.minmax[r]);
+  }
+
+  /// Append group `g`'s spill fields: has, f64, i128, count, then the
+  /// MIN/MAX value.
+  void Serialize(uint32_t g, std::string* buf) const {
+    double f = uses_f64 ? f64[g] : 0;
+    int128_t i = uses_i128 ? i128[g] : 0;
+    int64_t c = uses_count ? count[g] : 0;
+    buf->push_back(Has(g) ? 1 : 0);
+    buf->append(reinterpret_cast<const char*>(&f), sizeof(double));
+    buf->append(reinterpret_cast<const char*>(&i), sizeof(int128_t));
+    buf->append(reinterpret_cast<const char*>(&c), sizeof(int64_t));
+    if (uses_minmax) SerializeRawValue(minmax[g], buf);
+  }
+
+  /// Read the fields Serialize wrote into row `r`.
+  Status Deserialize(ByteReader* reader, size_t r) {
+    uint8_t h = 0;
+    double f = 0;
+    int128_t i = 0;
+    int64_t c = 0;
+    QY_RETURN_IF_ERROR(reader->ReadBytes(&h, 1));
+    QY_RETURN_IF_ERROR(reader->ReadBytes(&f, sizeof(double)));
+    QY_RETURN_IF_ERROR(reader->ReadBytes(&i, sizeof(int128_t)));
+    QY_RETURN_IF_ERROR(reader->ReadBytes(&c, sizeof(int64_t)));
+    if (uses_f64) f64[r] = f;
+    if (uses_i128) i128[r] = i;
+    if (uses_count) count[r] = c;
+    if (uses_has) has[r] = h != 0 ? 1 : 0;
+    if (uses_minmax) return reader->ReadValue(result_type, &minmax[r]);
+    return Status::OK();
+  }
+
   AggFunc func;
+  DataType result_type;
   bool uses_f64 = false;
   bool uses_i128 = false;
   bool uses_count = false;
@@ -133,73 +166,126 @@ struct AggStates {
   std::vector<Value> minmax;
 };
 
+/// Groups as columns: the key columns plus one AggStates per aggregate, all
+/// indexed by row. A group table holds its groups in this shape and a batch
+/// of spill records decodes into it, so both merge through
+/// GroupTable::Merge.
+struct GroupRows {
+  explicit GroupRows(const PlanNode& plan) {
+    for (const auto& k : plan.group_keys) keys.emplace_back(k->type);
+    for (const auto& spec : plan.aggs) states.emplace_back(spec);
+  }
+
+  /// Size every state array to `n` rows (new rows start zeroed, with
+  /// MIN/MAX NULL). Key columns are appended by the caller.
+  void Resize(size_t n) {
+    for (auto& st : states) st.Resize(n);
+    num_rows = n;
+  }
+
+  void Clear() {
+    for (auto& col : keys) col.Clear();
+    Resize(0);
+  }
+
+  /// Append row `r` as one spill record: each key in SerializeValue format,
+  /// then each aggregate's fields.
+  void Serialize(uint32_t r, std::string* buf) const {
+    for (const auto& col : keys) SerializeValue(col, r, buf);
+    for (const AggStates& st : states) st.Serialize(r, buf);
+  }
+
+  /// Decode one spill record into a new row.
+  Status AppendRecord(const std::string& record) {
+    ByteReader reader(record.data(), record.size());
+    for (auto& col : keys) QY_RETURN_IF_ERROR(reader.ReadInto(&col));
+    Resize(num_rows + 1);
+    for (auto& st : states) {
+      QY_RETURN_IF_ERROR(st.Deserialize(&reader, num_rows - 1));
+    }
+    return Status::OK();
+  }
+
+  std::vector<ColumnVector> keys;
+  std::vector<AggStates> states;
+  size_t num_rows = 0;
+};
+
 /// An in-memory group table: flat open-addressing key index (dense group ids
-/// in first-seen order) + key storage + per-aggregate state arrays. Group ids
-/// are assigned in input order, so output order is independent of the hash
-/// function — a prerequisite for byte-identical results across PRs.
+/// in first-seen order) + the groups' keys and states as GroupRows. Group
+/// ids are assigned in input order, so output order is independent of the
+/// hash function — a prerequisite for byte-identical results across PRs.
 class GroupTable {
  public:
-  GroupTable(const PlanNode& plan) : plan_(plan) {
-    for (const auto& k : plan.group_keys) {
-      key_store_.columns.emplace_back(k->type);
-    }
-    for (const auto& spec : plan.aggs) states_.emplace_back(spec);
-    fast_ = plan.group_keys.size() == 1 &&
-            IsInteger(plan.group_keys[0]->type);
-    keys_fixed_ = true;
-    for (const auto& k : plan.group_keys) {
-      if (k->type == DataType::kVarchar) keys_fixed_ = false;
-    }
+  explicit GroupTable(const PlanNode& plan)
+      : rows_(plan),
+        scalar_(plan.group_keys.empty()),
+        fast_(plan.group_keys.size() == 1 &&
+              IsInteger(plan.group_keys[0]->type)) {
     key_offsets_.push_back(0);
   }
 
-  size_t NumGroups() const {
-    return plan_.group_keys.empty()
-               ? (scalar_group_init_ ? 1 : 0)
-               : key_store_.NumRows();
-  }
+  const GroupRows& rows() const { return rows_; }
+  size_t NumGroups() const { return rows_.num_rows; }
 
   /// Memory estimate over every array the table holds: the key columns, the
   /// index slots, the generic path's encoded keys and offsets, and the state
   /// arrays.
   uint64_t ApproxBytes() const {
-    uint64_t state_bytes = 0;
-    for (const auto& st : states_) state_bytes += st.BytesPerGroup();
-    return key_store_.ApproxBytes() + index_.ApproxBytes() +
-           key_bytes_.size() + key_offsets_.size() * sizeof(uint32_t) +
-           NumGroups() * state_bytes;
+    uint64_t bytes = index_.ApproxBytes() + key_bytes_.size() +
+                     key_offsets_.size() * sizeof(uint32_t);
+    for (const auto& col : rows_.keys) bytes += col.ApproxBytes();
+    for (const auto& st : rows_.states) {
+      bytes += NumGroups() * st.BytesPerGroup();
+    }
+    return bytes;
   }
 
   /// Ensure the scalar (no GROUP BY) group exists.
   void EnsureScalarGroup() {
-    if (!plan_.group_keys.empty() || scalar_group_init_) return;
-    scalar_group_init_ = true;
-    ResizeStates();
+    if (scalar_ && NumGroups() == 0) rows_.Resize(1);
   }
 
-  /// Find-or-create group ids for rows [0, n) of the evaluated key columns:
-  /// the whole chunk is hashed/encoded up front (one type switch per column),
-  /// then each row does one flat-table lookup. Group ids are assigned in row
-  /// order, so first-seen output order is preserved exactly.
+  /// Hash rows [0, n) of `keys` the way the index files them: a single
+  /// integer key directly (NULL under kIntNullKeyHash), other keys over
+  /// their canonical encoding, which stays in scratch for the lookup. Spill
+  /// routing takes its bits from these same hashes.
+  const std::vector<uint64_t>& HashKeys(const std::vector<ColumnVector>& keys,
+                                        size_t n) {
+    if (scalar_) {
+      scratch_hashes_.assign(n, 0);
+    } else if (fast_) {
+      NormalizeIntKeyColumn(keys[0], &scratch_values_);
+      HashIntKeyColumn(keys[0], scratch_values_, &scratch_hashes_);
+    } else {
+      EncodeKeyRows(keys, n, &scratch_enc_);
+      HashEncodedRows(scratch_enc_, &scratch_hashes_);
+    }
+    return scratch_hashes_;
+  }
+
+  /// Find-or-create group ids for rows [0, n) of `keys`: the whole batch is
+  /// hashed/encoded up front (one type switch per column), then each row
+  /// does one flat-table lookup. Group ids are assigned in row order, so
+  /// first-seen output order is preserved exactly.
   void GroupIndices(const std::vector<ColumnVector>& keys, size_t n,
                     std::vector<uint32_t>* groups) {
     groups->resize(n);
-    if (plan_.group_keys.empty()) {
+    if (scalar_) {
       EnsureScalarGroup();
       std::fill(groups->begin(), groups->end(), 0u);
       return;
     }
+    const std::vector<uint64_t>& hashes = HashKeys(keys, n);
+    const ColumnVector& stored = rows_.keys[0];
     if (fast_) {
       const ColumnVector& kc = keys[0];
-      const ColumnVector& stored = key_store_.columns[0];
-      NormalizeIntKeyColumn(kc, &scratch_values_);
-      HashIntKeyColumn(kc, scratch_values_, &scratch_hashes_);
       for (size_t r = 0; r < n; ++r) {
         bool is_null = kc.IsNull(r);
         int128_t key = is_null ? 0 : scratch_values_[r];
         bool inserted = false;
         uint32_t id = index_.FindOrInsert(
-            scratch_hashes_[r], static_cast<uint32_t>(key_store_.NumRows()),
+            hashes[r], static_cast<uint32_t>(stored.size()),
             [&](uint32_t g) {
               return stored.IsNull(g) == is_null && IntKeyAt(stored, g) == key;
             },
@@ -207,17 +293,15 @@ class GroupTable {
         if (inserted) AppendKey(keys, r);
         (*groups)[r] = id;
       }
-      ResizeStates();
+      rows_.Resize(stored.size());
       return;
     }
-    EncodeKeyRows(keys, n, &scratch_enc_);
-    HashEncodedRows(scratch_enc_, &scratch_hashes_);
     for (size_t r = 0; r < n; ++r) {
       const char* key = scratch_enc_.RowPtr(r);
       size_t len = scratch_enc_.RowLen(r);
       bool inserted = false;
       uint32_t id = index_.FindOrInsert(
-          scratch_hashes_[r], static_cast<uint32_t>(key_store_.NumRows()),
+          hashes[r], static_cast<uint32_t>(stored.size()),
           [&](uint32_t g) { return GroupKeyEquals(g, key, len); }, &inserted);
       if (inserted) {
         key_bytes_.append(key, len);
@@ -226,14 +310,14 @@ class GroupTable {
       }
       (*groups)[r] = id;
     }
-    ResizeStates();
+    rows_.Resize(stored.size());
   }
 
   /// Update aggregate `agg` from a whole chunk: the function/type dispatch is
   /// hoisted out of the row loop.
   void UpdateColumn(size_t agg, const std::vector<uint32_t>& groups,
                     const ColumnVector* arg, size_t n) {
-    AggStates& st = states_[agg];
+    AggStates& st = rows_.states[agg];
     const uint32_t* gs = groups.data();
     switch (st.func) {
       case AggFunc::kCountStar:
@@ -272,84 +356,44 @@ class GroupTable {
     }
   }
 
-  /// Merge a serialized partial state into this table.
-  Status MergeRecord(const std::string& record) {
-    ByteReader reader(record.data(), record.size());
-    // Keys.
-    std::vector<Value> key_values(plan_.group_keys.size());
-    for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
-      QY_RETURN_IF_ERROR(
-          reader.ReadValue(plan_.group_keys[k]->type, &key_values[k]));
+  /// Fold one input chunk in: its evaluated group keys and, per aggregate,
+  /// its evaluated argument (empty for COUNT(*)).
+  void Consume(const std::vector<ColumnVector>& keys,
+               const std::vector<ColumnVector>& args, size_t n) {
+    GroupIndices(keys, n, &scratch_groups_);
+    for (size_t a = 0; a < args.size(); ++a) {
+      UpdateColumn(a, scratch_groups_, &args[a], n);
     }
-    uint32_t group = GroupIndexFromValues(key_values);
-    for (size_t agg = 0; agg < plan_.aggs.size(); ++agg) {
-      AggStates& st = states_[agg];
-      uint8_t has = 0;
-      double f64 = 0;
-      int128_t i128 = 0;
-      int64_t count = 0;
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&has, 1));
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&f64, sizeof(double)));
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&i128, sizeof(int128_t)));
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&count, sizeof(int64_t)));
-      if (st.uses_minmax) {
-        Value v;
-        QY_RETURN_IF_ERROR(reader.ReadValue(plan_.aggs[agg].result_type, &v));
-        if (!v.is_null()) st.FoldMinMax(group, v);
+  }
+
+  /// Fold partial states of the same plan in: their keys find or create
+  /// groups exactly like an input chunk's, then every aggregate merges row
+  /// by row, in row order.
+  void Merge(const GroupRows& partial) {
+    GroupIndices(partial.keys, partial.num_rows, &scratch_groups_);
+    for (size_t a = 0; a < partial.states.size(); ++a) {
+      AggStates& st = rows_.states[a];
+      for (size_t r = 0; r < partial.num_rows; ++r) {
+        st.MergeRow(scratch_groups_[r], partial.states[a], r);
       }
-      if (st.uses_f64) st.f64[group] += f64;
-      if (st.uses_i128) st.i128[group] += i128;
-      if (st.uses_count) st.count[group] += count;
-      if (st.uses_has && has != 0) st.has[group] = 1;
     }
-    return Status::OK();
-  }
-
-  /// Serialize group `g` (keys + all partial states).
-  void SerializeGroup(uint32_t g, std::string* buf) const {
-    for (const auto& col : key_store_.columns) {
-      SerializeValue(col, g, buf);
-    }
-    for (const AggStates& st : states_) {
-      double f64 = st.uses_f64 ? st.f64[g] : 0;
-      int128_t i128 = st.uses_i128 ? st.i128[g] : 0;
-      int64_t count = st.uses_count ? st.count[g] : 0;
-      buf->push_back(st.Has(g) ? 1 : 0);
-      buf->append(reinterpret_cast<const char*>(&f64), sizeof(double));
-      buf->append(reinterpret_cast<const char*>(&i128), sizeof(int128_t));
-      buf->append(reinterpret_cast<const char*>(&count), sizeof(int64_t));
-      if (st.uses_minmax) SerializeRawValue(st.minmax[g], buf);
-    }
-  }
-
-  /// Hash of group g's key (for partitioning).
-  uint64_t GroupHash(uint32_t g) const {
-    if (plan_.group_keys.empty()) return 0;
-    if (fast_) {
-      const ColumnVector& kc = key_store_.columns[0];
-      if (kc.IsNull(g)) return 0x1234567;
-      return HashUInt128(static_cast<uint128_t>(IntKeyAt(kc, g)));
-    }
-    std::string key;
-    for (const auto& col : key_store_.columns) SerializeValue(col, g, &key);
-    return HashBytes(key);
   }
 
   /// Emit groups [from, from+count) as an output chunk (keys ++ agg results).
   Status EmitChunk(uint32_t from, uint32_t count, DataChunk* out) const {
     out->columns.clear();
-    for (const auto& col : key_store_.columns) {
+    for (const auto& col : rows_.keys) {
       out->columns.emplace_back(col.type());
     }
-    for (const auto& spec : plan_.aggs) {
-      out->columns.emplace_back(spec.result_type);
+    for (const auto& st : rows_.states) {
+      out->columns.emplace_back(st.result_type);
     }
-    size_t nk = key_store_.columns.size();
+    size_t nk = rows_.keys.size();
     for (size_t k = 0; k < nk; ++k) {
-      out->columns[k].AppendRange(key_store_.columns[k], from, count);
+      out->columns[k].AppendRange(rows_.keys[k], from, count);
     }
-    for (size_t agg = 0; agg < states_.size(); ++agg) {
-      const AggStates& st = states_[agg];
+    for (size_t agg = 0; agg < rows_.states.size(); ++agg) {
+      const AggStates& st = rows_.states[agg];
       ColumnVector& dst = out->columns[nk + agg];
       dst.Reserve(count);
       for (uint32_t g = from; g < from + count; ++g) {
@@ -388,9 +432,7 @@ class GroupTable {
     index_.Clear();
     key_bytes_.clear();
     key_offsets_.assign(1, 0);
-    key_store_.Clear();
-    for (auto& st : states_) st.Resize(0);
-    scalar_group_init_ = false;
+    rows_.Clear();
   }
 
  private:
@@ -403,85 +445,29 @@ class GroupTable {
 
   void AppendKey(const std::vector<ColumnVector>& keys, size_t r) {
     for (size_t k = 0; k < keys.size(); ++k) {
-      key_store_.columns[k].AppendFrom(keys[k], r);
+      rows_.keys[k].AppendFrom(keys[k], r);
     }
   }
 
-  /// Grow every state array to the current group count (new groups start
-  /// zeroed, with MIN/MAX NULL).
-  void ResizeStates() {
-    for (auto& st : states_) st.Resize(NumGroups());
-  }
-
-  uint32_t GroupIndexFromValues(const std::vector<Value>& values) {
-    if (plan_.group_keys.empty()) {
-      EnsureScalarGroup();
-      return 0;
-    }
-    bool inserted = false;
-    uint32_t id;
-    if (fast_) {
-      const ColumnVector& stored = key_store_.columns[0];
-      const Value& v = values[0];
-      bool is_null = v.is_null();
-      int128_t key = is_null ? 0 : v.AsHugeInt();
-      uint64_t hash = is_null ? kIntNullKeyHash : HashIntKey(key);
-      id = index_.FindOrInsert(
-          hash, static_cast<uint32_t>(key_store_.NumRows()),
-          [&](uint32_t g) {
-            return stored.IsNull(g) == is_null && IntKeyAt(stored, g) == key;
-          },
-          &inserted);
-      if (inserted) AppendKeyValues(values);
-      return id;
-    }
-    // Same canonical bytes EncodeKeyRows produces for an equal row, so the
-    // chunk path and this Value path always agree.
-    std::string key;
-    EncodeKeyValues(values, keys_fixed_, &key);
-    uint64_t hash = HashBytes64(key.data(), key.size());
-    id = index_.FindOrInsert(
-        hash, static_cast<uint32_t>(key_store_.NumRows()),
-        [&](uint32_t g) { return GroupKeyEquals(g, key.data(), key.size()); },
-        &inserted);
-    if (inserted) {
-      key_bytes_.append(key);
-      key_offsets_.push_back(static_cast<uint32_t>(key_bytes_.size()));
-      AppendKeyValues(values);
-    }
-    return id;
-  }
-
-  void AppendKeyValues(const std::vector<Value>& values) {
-    for (size_t k = 0; k < values.size(); ++k) {
-      // Types match the key columns by construction.
-      (void)key_store_.columns[k].AppendValue(values[k]);
-    }
-    ResizeStates();
-  }
-
-  const PlanNode& plan_;
-  bool fast_ = false;
-  bool keys_fixed_ = true;
-  bool scalar_group_init_ = false;
+  GroupRows rows_;
+  bool scalar_;
+  bool fast_;
   FlatKeyIndex index_;
-  // Caller-side key stores backing the index's equality checks: the fast
-  // path compares against key_store_.columns[0] directly.
-  std::string key_bytes_;             ///< generic path: encoded group keys
-  std::vector<uint32_t> key_offsets_; ///< size groups + 1
-  DataChunk key_store_;
-  std::vector<AggStates> states_;     ///< one per aggregate, [group] inside
-  // Per-chunk scratch (GroupTable is externally synchronized).
+  // The index's equality checks compare against rows_.keys[0] directly on
+  // the fast path, and against these encoded keys otherwise.
+  std::string key_bytes_;
+  std::vector<uint32_t> key_offsets_;  ///< size groups + 1
+  // Per-batch scratch (GroupTable is externally synchronized).
   std::vector<int128_t> scratch_values_;
   std::vector<uint64_t> scratch_hashes_;
   EncodedKeyRows scratch_enc_;
+  std::vector<uint32_t> scratch_groups_;
 };
 
 /// One spill partition: a temp file of serialized partial-state records.
 struct Partition {
   std::unique_ptr<TempFile> file;
   std::unique_ptr<RecordWriter> writer;
-  uint64_t records = 0;
 };
 
 class HashAggNode : public ExecNode {
@@ -489,93 +475,26 @@ class HashAggNode : public ExecNode {
   HashAggNode(const PlanNode& plan, std::unique_ptr<ExecNode> child,
               ExecContext* ctx)
       : plan_(plan), child_(std::move(child)), ctx_(ctx),
-        reservation_(ctx->tracker), table_(plan) {
-    if (ctx->profile != nullptr) {
-      profile_ = ctx->profile;
-    }
-  }
-
-  ~HashAggNode() override {
-    if (profile_ != nullptr) {
-      profile_->Record("HashAggregate", rows_out_, seconds_);
-    }
-  }
+        stats_("HashAggregate", ctx), reservation_(ctx->tracker),
+        table_(plan) {}
 
   Status Init() override {
-    auto start = std::chrono::steady_clock::now();
-    Status s = InitInternal();
-    seconds_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    return s;
-  }
-
-  Status InitInternal() {
+    ScopedTimer timer(&stats_.seconds);
     QY_RETURN_IF_ERROR(child_->Init());
     table_.EnsureScalarGroup();
     bool parallel = ctx_->pool != nullptr && ctx_->num_threads > 1 &&
                     !plan_.group_keys.empty();
-    if (parallel) {
-      QY_RETURN_IF_ERROR(ConsumeParallel());
-    } else {
-      QY_RETURN_IF_ERROR(ConsumeSerial());
-    }
-    if (spilled_) {
-      QY_RETURN_IF_ERROR(FlushTable(table_, 0));
-      // Release in-memory reservation; partitions are on disk.
-      reservation_.ReleaseAll();
-      table_.Clear();
-      for (auto& p : partitions_) {
-        QY_RETURN_IF_ERROR(p.writer->Flush());
-        if (p.file->bytes_written() > 0) {
-          ctx_->temp_files->AddSpilledBytes(p.file->bytes_written());
-          pending_.push_back({std::move(p.file), 0});
-        }
-      }
-      partitions_.clear();
-      emit_from_partitions_ = true;
-    }
-    return Status::OK();
+    QY_RETURN_IF_ERROR(parallel ? ConsumeParallel() : ConsumeSerial());
+    return FinishPass(0);
   }
 
+  /// Emit the table's groups; once they are out, merge the next pending
+  /// partition into the table, until none is left.
   Status Next(DataChunk* out, bool* done) override {
-    auto start = std::chrono::steady_clock::now();
-    Status s = NextInternal(out, done);
-    seconds_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    if (s.ok() && !*done) rows_out_ += out->NumRows();
-    return s;
-  }
-
-  Status NextInternal(DataChunk* out, bool* done) {
+    ScopedTimer timer(&stats_.seconds);
     QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     out->columns.clear();
-    if (!emit_from_partitions_) {
-      uint32_t total = static_cast<uint32_t>(table_.NumGroups());
-      if (emit_cursor_ >= total) {
-        *done = true;
-        return Status::OK();
-      }
-      uint32_t count = static_cast<uint32_t>(
-          std::min<uint64_t>(ctx_->chunk_size, total - emit_cursor_));
-      QY_RETURN_IF_ERROR(table_.EmitChunk(emit_cursor_, count, out));
-      emit_cursor_ += count;
-      *done = false;
-      return Status::OK();
-    }
-    // Partition-at-a-time emission.
-    while (true) {
-      uint32_t total = static_cast<uint32_t>(table_.NumGroups());
-      if (emit_cursor_ < total) {
-        uint32_t count = static_cast<uint32_t>(
-            std::min<uint64_t>(ctx_->chunk_size, total - emit_cursor_));
-        QY_RETURN_IF_ERROR(table_.EmitChunk(emit_cursor_, count, out));
-        emit_cursor_ += count;
-        *done = false;
-        return Status::OK();
-      }
-      // Advance to the next pending partition.
+    while (emit_cursor_ >= table_.NumGroups()) {
       table_.Clear();
       reservation_.ReleaseAll();
       emit_cursor_ = 0;
@@ -587,43 +506,55 @@ class HashAggNode : public ExecNode {
       pending_.pop_back();
       QY_RETURN_IF_ERROR(MergePartition(std::move(part)));
     }
+    uint64_t left = table_.NumGroups() - emit_cursor_;
+    uint32_t count =
+        static_cast<uint32_t>(std::min<uint64_t>(ctx_->chunk_size, left));
+    QY_RETURN_IF_ERROR(table_.EmitChunk(emit_cursor_, count, out));
+    emit_cursor_ += count;
+    stats_.rows_out += count;
+    *done = false;
+    return Status::OK();
   }
 
  private:
+  /// A spilled partition and the depth of the pass that merges it.
   struct PendingPartition {
     std::unique_ptr<TempFile> file;
     int depth;
   };
 
+  /// Evaluate the group keys and aggregate arguments over one input chunk
+  /// (COUNT(*) leaves its argument column empty).
+  Status EvaluateChunk(const DataChunk& in, std::vector<ColumnVector>* keys,
+                       std::vector<ColumnVector>* args) const {
+    keys->assign(plan_.group_keys.size(), ColumnVector());
+    args->assign(plan_.aggs.size(), ColumnVector());
+    for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
+      QY_RETURN_IF_ERROR(plan_.group_keys[k]->Evaluate(in, &(*keys)[k]));
+    }
+    for (size_t a = 0; a < plan_.aggs.size(); ++a) {
+      if (plan_.aggs[a].arg) {
+        QY_RETURN_IF_ERROR(plan_.aggs[a].arg->Evaluate(in, &(*args)[a]));
+      }
+    }
+    return Status::OK();
+  }
+
   /// Serial consume: identical to the pre-parallel engine (threads=1 keeps
   /// byte-identical behavior, including floating-point accumulation order).
   Status ConsumeSerial() {
-    std::vector<uint32_t> groups;
+    std::vector<ColumnVector> keys;
+    std::vector<ColumnVector> args;
     while (true) {
       QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
       DataChunk in;
       bool child_done = false;
       QY_RETURN_IF_ERROR(child_->Next(&in, &child_done));
       if (child_done) break;
-      size_t n = in.NumRows();
-      if (n == 0) continue;
-      // Evaluate group keys and aggregate arguments for the whole chunk.
-      std::vector<ColumnVector> keys(plan_.group_keys.size());
-      for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
-        QY_RETURN_IF_ERROR(plan_.group_keys[k]->Evaluate(in, &keys[k]));
-      }
-      std::vector<ColumnVector> args(plan_.aggs.size());
-      for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-        if (plan_.aggs[a].arg) {
-          QY_RETURN_IF_ERROR(plan_.aggs[a].arg->Evaluate(in, &args[a]));
-        }
-      }
-      table_.GroupIndices(keys, n, &groups);
-      for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-        table_.UpdateColumn(a, groups, plan_.aggs[a].arg ? &args[a] : nullptr,
-                            n);
-      }
-      QY_RETURN_IF_ERROR(CheckMemoryAndMaybeSpill());
+      if (in.NumRows() == 0) continue;
+      QY_RETURN_IF_ERROR(EvaluateChunk(in, &keys, &args));
+      table_.Consume(keys, args, in.NumRows());
+      QY_RETURN_IF_ERROR(ReserveOrSpill(&table_, &reservation_, 0));
     }
     return Status::OK();
   }
@@ -656,7 +587,6 @@ class HashAggNode : public ExecNode {
     for (size_t p = 0; p < kParallelPartials; ++p) {
       partials.push_back(std::make_unique<Partial>(plan_, ctx_->tracker));
     }
-    std::mutex spill_mu;  // guards partitions_, spilled_ and ctx_ counters
     uint64_t seqs[kParallelPartials] = {};
     TaskGroup group(ctx_->pool, ctx_->query);
     Status pull_status = Status::OK();
@@ -673,21 +603,13 @@ class HashAggNode : public ExecNode {
       Partial* part = partials[p].get();
       uint64_t seq = seqs[p]++;
       group.WaitUntilBelow(ctx_->num_threads * 4);
-      group.Spawn([this, in, part, seq, &spill_mu, &group]() -> Status {
+      group.Spawn([this, in, part, seq, &group]() -> Status {
         // Fallible work before the ordered section; failures are carried
         // into it so next_seq is always bumped (otherwise later chunks of
         // this partial would wait forever).
-        Status eval = Status::OK();
-        std::vector<ColumnVector> keys(plan_.group_keys.size());
-        std::vector<ColumnVector> args(plan_.aggs.size());
-        for (size_t k = 0; eval.ok() && k < plan_.group_keys.size(); ++k) {
-          eval = plan_.group_keys[k]->Evaluate(*in, &keys[k]);
-        }
-        for (size_t a = 0; eval.ok() && a < plan_.aggs.size(); ++a) {
-          if (plan_.aggs[a].arg) {
-            eval = plan_.aggs[a].arg->Evaluate(*in, &args[a]);
-          }
-        }
+        std::vector<ColumnVector> keys;
+        std::vector<ColumnVector> args;
+        Status eval = EvaluateChunk(*in, &keys, &args);
         std::unique_lock<std::mutex> lock(part->mu);
         // Abort-safe ordered wait: once the group is aborted (a sibling
         // failed, or the query was cancelled), queued predecessors are
@@ -703,8 +625,11 @@ class HashAggNode : public ExecNode {
           }
           part->cv.wait_for(lock, std::chrono::milliseconds(1));
         }
-        Status s = eval.ok() ? ApplyChunkLocked(part, *in, keys, args, spill_mu)
-                             : eval;
+        Status s = eval;
+        if (s.ok()) {
+          part->table.Consume(keys, args, in->NumRows());
+          s = ReserveOrSpill(&part->table, &part->reservation, 0);
+        }
         ++part->next_seq;
         part->cv.notify_all();
         return s;
@@ -714,99 +639,37 @@ class HashAggNode : public ExecNode {
     QY_RETURN_IF_ERROR(pull_status);
     QY_RETURN_IF_ERROR(task_status);
     // Merge phase (serial, fixed partial order → deterministic output).
-    if (spilled_) {
-      for (auto& part : partials) {
-        QY_RETURN_IF_ERROR(FlushTable(part->table, 0));
-        part->table.Clear();
-        part->reservation.ReleaseAll();
-      }
-      return Status::OK();
-    }
-    std::string buf;
     for (auto& part : partials) {
       QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      uint32_t total = static_cast<uint32_t>(part->table.NumGroups());
-      for (uint32_t g = 0; g < total; ++g) {
-        buf.clear();
-        part->table.SerializeGroup(g, &buf);
-        QY_RETURN_IF_ERROR(table_.MergeRecord(buf));
-      }
+      table_.Merge(part->table.rows());
       part->table.Clear();
       part->reservation.ReleaseAll();
-      QY_RETURN_IF_ERROR(CheckMemoryAndMaybeSpill());
+      QY_RETURN_IF_ERROR(ReserveOrSpill(&table_, &reservation_, 0));
     }
     return Status::OK();
   }
 
-  /// Apply one chunk to `part` (whose mutex is held by the caller), then
-  /// re-check the partial's memory reservation, spilling the partial to the
-  /// shared partition files under pressure.
-  Status ApplyChunkLocked(Partial* part, const DataChunk& in,
-                          const std::vector<ColumnVector>& keys,
-                          const std::vector<ColumnVector>& args,
-                          std::mutex& spill_mu) {
-    size_t n = in.NumRows();
-    std::vector<uint32_t> groups;
-    part->table.GroupIndices(keys, n, &groups);
-    for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-      part->table.UpdateColumn(a, groups,
-                               plan_.aggs[a].arg ? &args[a] : nullptr, n);
+  /// Grow `reservation` to what `table` now holds. When the budget refuses,
+  /// spill the table at `depth` and release the reservation instead.
+  Status ReserveOrSpill(GroupTable* table, ScopedReservation* reservation,
+                        int depth) {
+    uint64_t need = table->ApproxBytes();
+    uint64_t held = reservation->held();
+    if (need <= held || reservation->Reserve(need - held).ok()) {
+      return Status::OK();
     }
-    uint64_t need = part->table.ApproxBytes();
-    uint64_t held = part->reservation.held();
-    if (need <= held) return Status::OK();
-    Status s = part->reservation.Reserve(need - held);
-    if (s.ok()) return s;
     if (!ctx_->enable_spill || ctx_->temp_files == nullptr) {
       return Status::OutOfMemory(
           "hash aggregate exceeds memory budget and spilling is disabled (" +
-          std::to_string(part->table.NumGroups()) +
-          " groups in parallel partition)");
+          std::to_string(table->NumGroups()) + " groups)");
     }
-    std::lock_guard<std::mutex> spill_lock(spill_mu);
-    spilled_ = true;
-    QY_RETURN_IF_ERROR(FlushTable(part->table, 0));
-    part->table.Clear();
-    part->reservation.ReleaseAll();
-    return Status::OK();
-  }
-
-  Status CheckMemoryAndMaybeSpill() {
-    uint64_t need = table_.ApproxBytes();
-    uint64_t held = reservation_.held();
-    if (need <= held) return Status::OK();
-    Status s = reservation_.Reserve(need - held);
-    if (s.ok()) return s;
-    if (!ctx_->enable_spill || ctx_->temp_files == nullptr) {
+    if (depth >= kMaxDepth) {
       return Status::OutOfMemory(
-          "hash aggregate exceeds memory budget and spilling is disabled (" +
-          std::to_string(table_.NumGroups()) + " groups)");
+          "aggregate partition exceeds memory budget at max repartition "
+          "depth");
     }
-    // Flush all current groups to disk partitions and start over.
-    spilled_ = true;
-    QY_RETURN_IF_ERROR(FlushTable(table_, 0));
-    table_.Clear();
-    reservation_.ReleaseAll();
-    return Status::OK();
-  }
-
-  Status EnsurePartitions(int depth) {
-    if (!partitions_.empty()) return Status::OK();
-    // Build into a local set and commit only when every file was created:
-    // a mid-loop Create failure must not leave partitions_ half-initialized
-    // (non-empty but with null writers), because a concurrent parallel
-    // partial that lost the abort race would then skip creation and write
-    // through the null writer.
-    std::vector<Partition> fresh(kNumPartitions);
-    for (int p = 0; p < kNumPartitions; ++p) {
-      QY_ASSIGN_OR_RETURN(
-          fresh[p].file,
-          ctx_->temp_files->Create("agg_d" + std::to_string(depth) + "_p" +
-                                   std::to_string(p)));
-      fresh[p].writer = std::make_unique<RecordWriter>(fresh[p].file.get());
-    }
-    partitions_ = std::move(fresh);
-    ctx_->spill_partitions += kNumPartitions;
+    QY_RETURN_IF_ERROR(Spill(table, depth));
+    reservation->ReleaseAll();
     return Status::OK();
   }
 
@@ -816,137 +679,94 @@ class HashAggNode : public ExecNode {
     return static_cast<int>((hash >> shift) & (kNumPartitions - 1));
   }
 
-  /// Serialize every group of `table` into the current partition set.
-  Status FlushTable(const GroupTable& table, int depth) {
-    QY_RETURN_IF_ERROR(EnsurePartitions(depth));
-    uint32_t total = static_cast<uint32_t>(table.NumGroups());
+  /// Move every group of `table` to the current pass's partition set,
+  /// creating it on the pass's first spill: each group goes to the
+  /// partition its index hash selects at `depth`, and the table is cleared.
+  Status Spill(GroupTable* table, int depth) {
+    std::lock_guard<std::mutex> lock(spill_mu_);
+    if (partitions_.empty()) {
+      // Build into a local set and commit only when every file was created:
+      // a mid-loop Create failure must not leave partitions_ half-initialized
+      // (non-empty but with null writers), because a concurrent parallel
+      // partial that lost the abort race would then skip creation and write
+      // through the null writer.
+      std::vector<Partition> fresh(kNumPartitions);
+      for (int p = 0; p < kNumPartitions; ++p) {
+        QY_ASSIGN_OR_RETURN(
+            fresh[p].file,
+            ctx_->temp_files->Create("agg_d" + std::to_string(depth) + "_p" +
+                                     std::to_string(p)));
+        fresh[p].writer = std::make_unique<RecordWriter>(fresh[p].file.get());
+      }
+      partitions_ = std::move(fresh);
+      ctx_->spill_partitions += kNumPartitions;
+    }
+    size_t n = table->NumGroups();
+    const std::vector<uint64_t>& hashes =
+        table->HashKeys(table->rows().keys, n);
     std::string buf;
-    for (uint32_t g = 0; g < total; ++g) {
+    for (uint32_t g = 0; g < n; ++g) {
       buf.clear();
-      table.SerializeGroup(g, &buf);
-      int p = PartitionOf(table.GroupHash(g), depth);
-      QY_RETURN_IF_ERROR(partitions_[p].writer->Write(buf));
-      ++partitions_[p].records;
+      table->rows().Serialize(g, &buf);
+      QY_RETURN_IF_ERROR(
+          partitions_[PartitionOf(hashes[g], depth)].writer->Write(buf));
       ++ctx_->rows_spilled;
     }
-    // On the first finalization flush, move the partitions to pending.
+    table->Clear();
     return Status::OK();
   }
 
-  /// Load one partition into the (empty) in-memory table, repartitioning if
-  /// it does not fit.
+  /// End a pass at `depth`. If it spilled, its remaining groups join the
+  /// partitions and every non-empty partition becomes pending, to be merged
+  /// one level deeper; otherwise the table holds the pass's final groups.
+  Status FinishPass(int depth) {
+    if (partitions_.empty()) return Status::OK();
+    QY_RETURN_IF_ERROR(Spill(&table_, depth));
+    reservation_.ReleaseAll();
+    for (auto& p : partitions_) {
+      QY_RETURN_IF_ERROR(p.writer->Flush());
+      if (p.file->bytes_written() > 0) {
+        ctx_->temp_files->AddSpilledBytes(p.file->bytes_written());
+        pending_.push_back({std::move(p.file), depth + 1});
+      }
+    }
+    partitions_.clear();
+    return Status::OK();
+  }
+
+  /// Merge one pending partition into the (empty) table: the same pass as
+  /// over the child, over batches of decoded records.
   Status MergePartition(PendingPartition part) {
     QY_RETURN_IF_ERROR(part.file->Rewind());
     RecordReader reader(part.file.get());
-    std::vector<Partition> sub;  // lazily created on overflow
-    bool overflow = false;
+    GroupRows batch(plan_);
     std::string record;
-    uint64_t merged = 0;
-    while (true) {
-      if ((merged++ & 255) == 0) {
-        QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    for (bool eof = false; !eof;) {
+      QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+      batch.Clear();
+      while (batch.num_rows < ctx_->chunk_size) {
+        QY_RETURN_IF_ERROR(reader.Read(&record, &eof));
+        if (eof) break;
+        QY_RETURN_IF_ERROR(batch.AppendRecord(record));
       }
-      bool eof = false;
-      QY_RETURN_IF_ERROR(reader.Read(&record, &eof));
-      if (eof) break;
-      if (!overflow) {
-        QY_RETURN_IF_ERROR(table_.MergeRecord(record));
-        uint64_t need = table_.ApproxBytes();
-        if (need > reservation_.held()) {
-          Status s = reservation_.Reserve(need - reservation_.held());
-          if (!s.ok()) {
-            if (part.depth + 1 >= kMaxDepth) {
-              return Status::OutOfMemory(
-                  "aggregate partition exceeds memory budget at max "
-                  "repartition depth");
-            }
-            overflow = true;
-            // Flush current partial table into sub-partitions, then continue
-            // routing the remaining records directly.
-            sub.resize(kNumPartitions);
-            for (int p = 0; p < kNumPartitions; ++p) {
-              QY_ASSIGN_OR_RETURN(
-                  sub[p].file,
-                  ctx_->temp_files->Create(
-                      "agg_d" + std::to_string(part.depth + 1) + "_p" +
-                      std::to_string(p)));
-              sub[p].writer = std::make_unique<RecordWriter>(sub[p].file.get());
-              ++ctx_->spill_partitions;
-            }
-            uint32_t total = static_cast<uint32_t>(table_.NumGroups());
-            std::string buf;
-            for (uint32_t g = 0; g < total; ++g) {
-              buf.clear();
-              table_.SerializeGroup(g, &buf);
-              int p = PartitionOf(table_.GroupHash(g), part.depth + 1);
-              QY_RETURN_IF_ERROR(sub[p].writer->Write(buf));
-              ++ctx_->rows_spilled;
-            }
-            table_.Clear();
-            reservation_.ReleaseAll();
-          }
-        }
-      } else {
-        // Route record to sub-partition by key hash (recompute from record).
-        QY_RETURN_IF_ERROR(RouteRecord(record, part.depth + 1, &sub));
-      }
+      if (batch.num_rows == 0) continue;
+      table_.Merge(batch);
+      QY_RETURN_IF_ERROR(ReserveOrSpill(&table_, &reservation_, part.depth));
     }
-    if (overflow) {
-      for (auto& p : sub) {
-        QY_RETURN_IF_ERROR(p.writer->Flush());
-        if (p.records > 0 || p.file->bytes_written() > 0) {
-          ctx_->temp_files->AddSpilledBytes(p.file->bytes_written());
-          pending_.push_back({std::move(p.file), part.depth + 1});
-        }
-      }
-      table_.Clear();
-      // Nothing to emit yet; caller loops to the next pending partition.
-    }
-    return Status::OK();
-  }
-
-  /// Compute the key hash of a serialized record and route it onward.
-  Status RouteRecord(const std::string& record, int depth,
-                     std::vector<Partition>* sub) {
-    ByteReader reader(record.data(), record.size());
-    std::vector<Value> key_values(plan_.group_keys.size());
-    for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
-      QY_RETURN_IF_ERROR(
-          reader.ReadValue(plan_.group_keys[k]->type, &key_values[k]));
-    }
-    uint64_t hash;
-    if (plan_.group_keys.size() == 1 && IsInteger(plan_.group_keys[0]->type) &&
-        !key_values[0].is_null()) {
-      hash = HashUInt128(static_cast<uint128_t>(key_values[0].AsHugeInt()));
-    } else if (plan_.group_keys.empty()) {
-      hash = 0;
-    } else {
-      std::string key;
-      for (const auto& v : key_values) SerializeRawValue(v, &key);
-      hash = HashBytes(key);
-    }
-    int p = PartitionOf(hash, depth);
-    QY_RETURN_IF_ERROR((*sub)[p].writer->Write(record));
-    ++(*sub)[p].records;
-    ++ctx_->rows_spilled;
-    return Status::OK();
+    return FinishPass(part.depth);
   }
 
   const PlanNode& plan_;
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
+  NodeStats stats_;
   ScopedReservation reservation_;
   GroupTable table_;
 
-  bool spilled_ = false;
-  std::vector<Partition> partitions_;
+  std::mutex spill_mu_;  ///< guards partitions_ and ctx_'s spill counters
+  std::vector<Partition> partitions_;  ///< the current pass's, once it spills
   std::vector<PendingPartition> pending_;
-  bool emit_from_partitions_ = false;
   uint32_t emit_cursor_ = 0;
-
-  QueryProfile* profile_ = nullptr;
-  uint64_t rows_out_ = 0;
-  double seconds_ = 0;
 };
 
 }  // namespace

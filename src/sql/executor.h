@@ -7,6 +7,7 @@
 /// capability (paper Sec. 3.3).
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,6 +70,36 @@ struct ExecContext {
   Status CheckInterrupt() const {
     return query != nullptr ? query->Check() : Status::OK();
   }
+};
+
+/// Per-node row/time counters, flushed to the context profile on operator
+/// teardown (when the plan's ExecNode tree is destroyed).
+struct NodeStats {
+  NodeStats(const char* name, ExecContext* ctx)
+      : name(name), profile(ctx->profile) {}
+  ~NodeStats() {
+    if (profile != nullptr) profile->Record(name, rows_out, seconds);
+  }
+  const char* name;
+  QueryProfile* profile;
+  uint64_t rows_out = 0;
+  double seconds = 0;
+};
+
+/// Accumulates elapsed wall time into `*acc` on destruction.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(double* acc)
+      : acc_(acc), start_(std::chrono::steady_clock::now()) {}
+  ~ScopedTimer() {
+    *acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start_)
+                 .count();
+  }
+
+ private:
+  double* acc_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// A physical operator instance.

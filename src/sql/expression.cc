@@ -449,7 +449,17 @@ Status BoundExpr::EvaluateBinaryOp(OpCode opcode, const ColumnVector& l,
       for (size_t i = 0; i < a.size(); ++i) dst[i] = (a[i] || b[i]) ? 1 : 0;
     }
     out->SetSizeFromData();
-    SetValidity(out, MergeValidity(l, r));
+    // Three-valued logic: a non-NULL FALSE decides an AND and a non-NULL
+    // TRUE decides an OR, whatever the other side is.
+    std::vector<uint8_t> validity = MergeValidity(l, r);
+    bool decisive = opcode == OpCode::kOr;
+    for (size_t i = 0; i < validity.size(); ++i) {
+      if ((!l.IsNull(i) && (a[i] != 0) == decisive) ||
+          (!r.IsNull(i) && (b[i] != 0) == decisive)) {
+        validity[i] = 1;
+      }
+    }
+    SetValidity(out, std::move(validity));
     return Status::OK();
   }
   if (opcode == OpCode::kConcat) {

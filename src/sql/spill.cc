@@ -84,48 +84,55 @@ Status ByteReader::ReadBytes(void* dst, size_t n) {
   return Status::OK();
 }
 
-Status ByteReader::ReadValue(DataType type, Value* out) {
+Status ByteReader::ReadInto(ColumnVector* col) {
   uint8_t valid = 0;
   QY_RETURN_IF_ERROR(ReadBytes(&valid, 1));
   if (valid == 0) {
-    *out = Value::Null(type);
+    col->AppendNull();
     return Status::OK();
   }
-  switch (type) {
+  switch (col->type()) {
     case DataType::kBool: {
       uint8_t b;
       QY_RETURN_IF_ERROR(ReadBytes(&b, 1));
-      *out = Value::Bool(b != 0);
+      col->AppendBool(b != 0);
       return Status::OK();
     }
     case DataType::kBigInt: {
       int64_t v;
       QY_RETURN_IF_ERROR(ReadBytes(&v, sizeof(v)));
-      *out = Value::BigInt(v);
+      col->AppendBigInt(v);
       return Status::OK();
     }
     case DataType::kHugeInt: {
       int128_t v;
       QY_RETURN_IF_ERROR(ReadBytes(&v, sizeof(v)));
-      *out = Value::HugeInt(v);
+      col->AppendHugeInt(v);
       return Status::OK();
     }
     case DataType::kDouble: {
       double v;
       QY_RETURN_IF_ERROR(ReadBytes(&v, sizeof(v)));
-      *out = Value::Double(v);
+      col->AppendDouble(v);
       return Status::OK();
     }
     case DataType::kVarchar: {
       uint32_t len;
       QY_RETURN_IF_ERROR(ReadBytes(&len, sizeof(len)));
       if (pos_ + len > size_) return Status::DataLoss("spill string truncated");
-      *out = Value::Varchar(std::string(data_ + pos_, len));
+      col->AppendVarchar(std::string(data_ + pos_, len));
       pos_ += len;
       return Status::OK();
     }
   }
   return Status::Internal("unhandled type in spill read");
+}
+
+Status ByteReader::ReadValue(DataType type, Value* out) {
+  ColumnVector col(type);
+  QY_RETURN_IF_ERROR(ReadInto(&col));
+  *out = col.GetValue(0);
+  return Status::OK();
 }
 
 Status RecordWriter::Write(const std::string& record) {

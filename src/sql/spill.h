@@ -35,6 +35,9 @@ class ByteReader {
  public:
   ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
 
+  /// Read the next value and append it to `col`, whose type it was
+  /// written from.
+  Status ReadInto(ColumnVector* col);
   Status ReadValue(DataType type, Value* out);
   Status ReadBytes(void* dst, size_t n);
   bool AtEnd() const { return pos_ >= size_; }

@@ -3,7 +3,8 @@
 /// scalar, and on empty input. Each query runs at 1 and 4 threads, without a
 /// budget and under a budget that forces the grouped aggregate to spill, and
 /// must reproduce the unbudgeted single-thread result: integers and strings
-/// exactly, the same row set.
+/// exactly, the same row set. One grouped query also runs under a budget
+/// tight enough that spilled partitions repartition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,6 +143,39 @@ TEST(AggregateStateTest, ScalarEveryKindEveryType) {
   // A single group: the scalar aggregate never spills, whatever the budget.
   CheckEverywhere(std::string("SELECT ") + kAggs + " FROM t", 6000, 1500,
                   /*key_cols=*/0, /*must_spill=*/false);
+}
+
+TEST(AggregateStateTest, RepartitionKeepsOneNullGroup) {
+  // 20,000 groups under a budget a little above the base table's tracked
+  // bytes: a first-level partition does not fit either, so its merge spills
+  // again one level deeper. Groups routed at both levels must still meet,
+  // the NULL key included. HAVING keeps the NULL group and the keys below
+  // 16 (with CASE, so the test does not lean on OR's NULL handling).
+  constexpr int kRows = 20000;
+  constexpr uint64_t kHeadroom = 64u << 10;
+  const std::string sql =
+      std::string("SELECT k, ") + kAggs +
+      " FROM t GROUP BY k HAVING CASE WHEN k IS NULL THEN 1 "
+      "WHEN k < 16 THEN 1 ELSE 0 END = 1";
+  Database ref_db;
+  Fill(&ref_db, kRows, kRows);
+  auto want = ref_db.Execute(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->stats.rows_spilled, 0u);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DatabaseOptions opts;
+    opts.num_threads = threads;
+    Database db(opts);
+    Fill(&db, kRows, kRows);
+    db.tracker().set_budget(db.tracker().used() + kHeadroom);
+    auto got = db.Execute(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(got->stats.spill_partitions, 16u) << "merge did not repartition";
+    EXPECT_EQ(got->NumRows(), want->NumRows());
+    ExpectSameRows(*got, *want, /*key_cols=*/1);
+  }
 }
 
 TEST(AggregateStateTest, EmptyInputGroupedAndScalar) {

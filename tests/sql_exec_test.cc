@@ -393,6 +393,39 @@ TEST_F(SqlExecTest, NullPropagationInExpressions) {
   EXPECT_EQ(r.GetInt64(1, 0), 2);
 }
 
+TEST_F(SqlExecTest, AndOrFollowThreeValuedLogic) {
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE tv (x BOOLEAN, y BOOLEAN);
+    INSERT INTO tv VALUES
+      (TRUE, TRUE), (TRUE, FALSE), (TRUE, NULL),
+      (FALSE, TRUE), (FALSE, FALSE), (FALSE, NULL),
+      (NULL, TRUE), (NULL, FALSE), (NULL, NULL);
+  )").ok());
+  auto render = [](const Value& v) {
+    return v.is_null() ? 'N' : (v.bool_value() ? 'T' : 'F');
+  };
+  QueryResult r = Q("SELECT x AND y, x OR y FROM tv");
+  ASSERT_EQ(r.NumRows(), 9u);
+  std::string and_table, or_table;
+  for (uint64_t row = 0; row < r.NumRows(); ++row) {
+    and_table += render(r.GetValue(row, 0));
+    or_table += render(r.GetValue(row, 1));
+  }
+  EXPECT_EQ(and_table, "TFNFFFNFN");
+  EXPECT_EQ(or_table, "TTTTFNTNN");
+
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE kn (k BIGINT);
+    INSERT INTO kn VALUES (NULL), (1), (20);
+  )").ok());
+  EXPECT_EQ(Q("SELECT COUNT(*) FROM kn WHERE k IS NULL OR k < 16")
+                .GetInt64(0, 0),
+            2);
+  EXPECT_EQ(Q("SELECT COUNT(*) FROM kn WHERE NOT (k IS NOT NULL AND k >= 16)")
+                .GetInt64(0, 0),
+            2);
+}
+
 TEST_F(SqlExecTest, AggregatesSkipNulls) {
   ASSERT_TRUE(db_.ExecuteScript(R"(
     CREATE TABLE n3 (v DOUBLE);

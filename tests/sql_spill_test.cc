@@ -86,18 +86,17 @@ TEST(SpillTest, SpillDisabledFailsCleanly) {
 
 TEST(SpillTest, RepartitioningHandlesSkew) {
   // Many groups, tiny budget: single partitions exceed memory and must
-  // recursively repartition.
-  // 800 KiB: the 40000-row base table takes ~640 KiB, leaving too little
-  // for even one of the 16 first-level partitions (~2500 groups each), so
-  // finalization must recursively repartition at deeper hash bits.
-  DatabaseOptions opts;
-  opts.memory_budget_bytes = 800 << 10;
-  Database db(opts);
+  // recursively repartition. 32 KiB above the 40000-row base table is too
+  // little for even one of the 16 first-level partitions (~2500 groups
+  // each), so finalization must repartition at deeper hash bits.
+  Database db;
   FillGroups(&db, 40000, 40000);  // all keys distinct
+  db.tracker().set_budget(db.tracker().used() + (32u << 10));
   auto got = db.Execute("SELECT COUNT(*) FROM (SELECT k, SUM(v) AS sv FROM t "
                         "GROUP BY k) AS agg");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->GetInt64(0, 0), 40000);
+  EXPECT_GT(got->stats.spill_partitions, 16u) << "merge did not repartition";
 }
 
 TEST(SpillTest, VarcharKeysSpill) {
