@@ -211,10 +211,25 @@ struct GroupRows {
   size_t num_rows = 0;
 };
 
-/// An in-memory group table: flat open-addressing key index (dense group ids
-/// in first-seen order) + the groups' keys and states as GroupRows. Group
-/// ids are assigned in input order, so output order is independent of the
-/// hash function — a prerequisite for byte-identical results across PRs.
+/// An in-memory group table: a key -> group-id map (dense group ids in
+/// first-seen order) + the groups' keys and states as GroupRows. Group ids
+/// are assigned in input order, so output order is independent of the map
+/// and of the hash function — a prerequisite for byte-identical results
+/// across versions.
+///
+/// Keys map through a flat open-addressing index, except that a single
+/// BIGINT/HUGEINT key may instead use direct slots: one group id per key
+/// value in the observed range [lo, hi], plus one id for the NULL group.
+/// A dense state index (0..2^k-1) then takes one subtraction and one load
+/// per row, with no hash, probe or rehash. The slots never hold more bytes
+/// than the flat index would for the same groups (MaxSlots; the empty flat
+/// index stays beside them):
+///   (hi - lo + 1) * 4 B + 16 * 13 B <= CapacityHolding(groups) * 13 B.
+/// Before each batch of n rows the range is widened by the batch's keys and
+/// the slots are chosen while they fit groups + n, so a dense index moves to
+/// them as soon as the batch could fill its range. A batch that leaves fewer
+/// groups than the slots need moves the table to the flat index, and from
+/// then on only the groups it holds count.
 class GroupTable {
  public:
   explicit GroupTable(const PlanNode& plan)
@@ -229,10 +244,11 @@ class GroupTable {
   size_t NumGroups() const { return rows_.num_rows; }
 
   /// Memory estimate over every array the table holds: the key columns, the
-  /// index slots, the generic path's encoded keys and offsets, and the state
-  /// arrays.
+  /// index slots, the direct slots, the generic path's encoded keys and
+  /// offsets, and the state arrays.
   uint64_t ApproxBytes() const {
-    uint64_t bytes = index_.ApproxBytes() + key_bytes_.size() +
+    uint64_t bytes = index_.ApproxBytes() + slots_.size() * sizeof(uint32_t) +
+                     key_bytes_.size() +
                      key_offsets_.size() * sizeof(uint32_t);
     for (const auto& col : rows_.keys) bytes += col.ApproxBytes();
     for (const auto& st : rows_.states) {
@@ -264,10 +280,11 @@ class GroupTable {
     return scratch_hashes_;
   }
 
-  /// Find-or-create group ids for rows [0, n) of `keys`: the whole batch is
-  /// hashed/encoded up front (one type switch per column), then each row
-  /// does one flat-table lookup. Group ids are assigned in row order, so
-  /// first-seen output order is preserved exactly.
+  /// Find-or-create group ids for rows [0, n) of `keys`: either one direct
+  /// slot per row, or the whole batch is hashed/encoded up front (one type
+  /// switch per column) and each row does one flat-table lookup. Group ids
+  /// are assigned in row order, so first-seen output order is preserved
+  /// exactly.
   void GroupIndices(const std::vector<ColumnVector>& keys, size_t n,
                     std::vector<uint32_t>* groups) {
     groups->resize(n);
@@ -275,6 +292,18 @@ class GroupTable {
       EnsureScalarGroup();
       std::fill(groups->begin(), groups->end(), 0u);
       return;
+    }
+    if (fast_) {
+      NormalizeIntKeyColumn(keys[0], &scratch_values_);
+      if (ChooseSlots(keys[0], n)) {
+        SlotIndices(keys[0], n, groups->data());
+        if (slots_.size() > MaxSlots(NumGroups())) {
+          overran_ = true;
+          use_slots_ = false;
+          BuildFlatIndex();
+        }
+        return;
+      }
     }
     const std::vector<uint64_t>& hashes = HashKeys(keys, n);
     const ColumnVector& stored = rows_.keys[0];
@@ -430,12 +459,117 @@ class GroupTable {
 
   void Clear() {
     index_.Clear();
+    std::vector<uint32_t>().swap(slots_);
+    use_slots_ = false;
+    overran_ = false;
+    has_range_ = false;
+    null_group_ = kFlatHashInvalid;
     key_bytes_.clear();
     key_offsets_.assign(1, 0);
     rows_.Clear();
   }
 
  private:
+  /// Widen [lo_, hi_] by the non-NULL keys among rows [0, n) of `kc`
+  /// (normalized in scratch_values_), then pick the map for this batch by
+  /// the rule in the class comment. A switch rebuilds the chosen map from the
+  /// stored keys; while the slots stay in use, a wider range re-bases them
+  /// in place.
+  bool ChooseSlots(const ColumnVector& kc, size_t n) {
+    int128_t old_lo = lo_;
+    bool had_range = has_range_;
+    for (size_t r = 0; r < n; ++r) {
+      if (kc.IsNull(r)) continue;
+      int128_t v = scratch_values_[r];
+      lo_ = has_range_ ? std::min(lo_, v) : v;
+      hi_ = has_range_ ? std::max(hi_, v) : v;
+      has_range_ = true;
+    }
+    // hi - lo in unsigned arithmetic is exact, even for a range of 2^128
+    // values, where the span itself would wrap to 0.
+    uint128_t width = has_range_ ? static_cast<uint128_t>(hi_) -
+                                       static_cast<uint128_t>(lo_)
+                                 : 0;
+    if (has_range_ && width >= MaxSlots(NumGroups() + (overran_ ? 0 : n))) {
+      if (use_slots_) BuildFlatIndex();
+      use_slots_ = false;
+      return false;
+    }
+    size_t span = has_range_ ? static_cast<size_t>(width) + 1 : 0;
+    if (!use_slots_) {
+      BuildSlots(span);
+    } else if (span != slots_.size()) {
+      // The old slot 0 (key old_lo) moves up to SlotOf(old_lo).
+      slots_.insert(slots_.begin(), had_range ? SlotOf(old_lo) : 0,
+                    kFlatHashInvalid);
+      slots_.resize(span, kFlatHashInvalid);
+    }
+    use_slots_ = true;
+    return true;
+  }
+
+  /// The most direct slots that take no more bytes than a flat index holding
+  /// `groups` keys, less the empty index the slots keep beside them.
+  static size_t MaxSlots(size_t groups) {
+    return (FlatKeyIndex::CapacityHolding(groups) -
+            FlatKeyIndex::kMinCapacity) *
+           FlatKeyIndex::kSlotBytes / sizeof(uint32_t);
+  }
+
+  /// The slot of a non-NULL key in [lo_, hi_]. The offset is below 2^64, so
+  /// the low 64 bits of the subtraction are all of it.
+  size_t SlotOf(int128_t key) const {
+    return static_cast<size_t>(static_cast<uint64_t>(key) -
+                               static_cast<uint64_t>(lo_));
+  }
+
+  /// Slot-map the stored keys: group g's key is row g of the key column.
+  void BuildSlots(size_t span) {
+    index_ = FlatKeyIndex();
+    slots_.assign(span, kFlatHashInvalid);
+    null_group_ = kFlatHashInvalid;
+    const ColumnVector& stored = rows_.keys[0];
+    for (uint32_t g = 0; g < stored.size(); ++g) {
+      if (stored.IsNull(g)) {
+        null_group_ = g;
+      } else {
+        slots_[SlotOf(IntKeyAt(stored, g))] = g;
+      }
+    }
+  }
+
+  /// Re-file the stored keys in a fresh flat index, sized once. The keys are
+  /// distinct, so ids go in in order with no equality checks.
+  void BuildFlatIndex() {
+    std::vector<uint32_t>().swap(slots_);
+    size_t n = NumGroups();
+    index_ = FlatKeyIndex();
+    index_.Reserve(n);
+    const std::vector<uint64_t>& hashes = HashKeys(rows_.keys, n);
+    bool inserted = false;
+    for (uint32_t g = 0; g < n; ++g) {
+      index_.FindOrInsert(hashes[g], g, [](uint32_t) { return false; },
+                          &inserted);
+    }
+  }
+
+  /// GroupIndices through the direct slots, over the keys normalized in
+  /// scratch_values_.
+  void SlotIndices(const ColumnVector& kc, size_t n, uint32_t* groups) {
+    ColumnVector& stored = rows_.keys[0];
+    uint32_t next = static_cast<uint32_t>(stored.size());
+    for (size_t r = 0; r < n; ++r) {
+      uint32_t& id =
+          kc.IsNull(r) ? null_group_ : slots_[SlotOf(scratch_values_[r])];
+      if (id == kFlatHashInvalid) {
+        id = next++;
+        stored.AppendFrom(kc, r);
+      }
+      groups[r] = id;
+    }
+    rows_.Resize(next);
+  }
+
   /// Compare the stored key bytes of group `g` against an encoded key row.
   bool GroupKeyEquals(uint32_t g, const char* key, size_t len) const {
     size_t off = key_offsets_[g];
@@ -453,6 +587,18 @@ class GroupTable {
   bool scalar_;
   bool fast_;
   FlatKeyIndex index_;
+  // The direct slots of a single integer key, used instead of index_ while
+  // use_slots_: slots_[k - lo_] is key k's group id, kFlatHashInvalid when
+  // absent. [lo_, hi_] is the range of the stored non-NULL keys (if
+  // has_range_), tracked under either map. overran_: a batch once left the
+  // slots larger than the flat index.
+  std::vector<uint32_t> slots_;
+  uint32_t null_group_ = kFlatHashInvalid;
+  bool use_slots_ = false;
+  bool overran_ = false;
+  bool has_range_ = false;
+  int128_t lo_ = 0;
+  int128_t hi_ = 0;
   // The index's equality checks compare against rows_.keys[0] directly on
   // the fast path, and against these encoded keys otherwise.
   std::string key_bytes_;

@@ -125,6 +125,8 @@ Status ArithKernel(OpCode op, const ColumnVector& l, const ColumnVector& r,
           if (b[i] == 0) {
             validity[i] = 0;  // x % 0 -> NULL
             dst[i] = 0;
+          } else if (b[i] == -1) {
+            dst[i] = 0;  // a % -1 would trap at the type's minimum
           } else {
             dst[i] = a[i] % b[i];
           }
@@ -150,6 +152,21 @@ Status BitKernel(OpCode op, const ColumnVector& l, const ColumnVector& r,
   auto& dst = MutableTypedData<T>(*out);
   size_t n = a.size();
   dst.resize(n);
+  std::vector<uint8_t> validity = MergeValidity(l, r);
+  // A shift count outside [0, bit width) is undefined in C++; it gives NULL,
+  // as x / 0 does.
+  auto shift = [&](auto fn) {
+    constexpr T kBits = static_cast<T>(sizeof(T) * 8);
+    for (size_t i = 0; i < n; ++i) {
+      if (b[i] < 0 || b[i] >= kBits) {
+        if (validity.empty()) validity.assign(n, 1);
+        validity[i] = 0;
+        dst[i] = 0;
+      } else {
+        dst[i] = fn(a[i], b[i]);
+      }
+    }
+  };
   switch (op) {
     case OpCode::kBitAnd:
       for (size_t i = 0; i < n; ++i) dst[i] = a[i] & b[i];
@@ -161,16 +178,16 @@ Status BitKernel(OpCode op, const ColumnVector& l, const ColumnVector& r,
       for (size_t i = 0; i < n; ++i) dst[i] = a[i] ^ b[i];
       break;
     case OpCode::kShl:
-      for (size_t i = 0; i < n; ++i) dst[i] = a[i] << b[i];
+      shift([](T x, T c) { return x << c; });
       break;
     case OpCode::kShr:
-      for (size_t i = 0; i < n; ++i) dst[i] = a[i] >> b[i];
+      shift([](T x, T c) { return x >> c; });
       break;
     default:
       return Status::Internal("BitKernel: unexpected opcode");
   }
   out->SetSizeFromData();
-  SetValidity(out, MergeValidity(l, r));
+  SetValidity(out, std::move(validity));
   return Status::OK();
 }
 

@@ -43,19 +43,35 @@ size_t FlatHashCapacityFor(size_t entries);
 /// Open-addressing key -> dense id map (keys stored by the caller).
 class FlatKeyIndex {
  public:
-  FlatKeyIndex() { Rebuild(16); }
+  /// Heap bytes per slot: the tag, the full hash and the id.
+  static constexpr size_t kSlotBytes =
+      sizeof(uint8_t) + sizeof(uint64_t) + sizeof(uint32_t);
+
+  /// Capacity of an empty index.
+  static constexpr size_t kMinCapacity = 16;
+
+  FlatKeyIndex() { Rebuild(kMinCapacity); }
+
+  /// The capacity the index grows to while holding `entries` keys: it
+  /// doubles before an insert would load it past 0.7.
+  static size_t CapacityHolding(size_t entries) {
+    size_t cap = kMinCapacity;
+    while (entries * 10 > cap * 7) cap *= 2;
+    return cap;
+  }
 
   size_t size() const { return size_; }
   size_t capacity() const { return tags_.size(); }
 
   void Clear() {
     size_ = 0;
-    Rebuild(16);
+    Rebuild(kMinCapacity);
   }
 
-  /// Pre-size for `entries` keys (avoids growth during a bulk insert).
+  /// Pre-size for `entries` keys: the capacity inserting them would reach,
+  /// without the rehashes on the way.
   void Reserve(size_t entries) {
-    size_t cap = FlatHashCapacityFor(entries);
+    size_t cap = CapacityHolding(entries);
     if (cap > tags_.size()) Grow(cap);
   }
 
@@ -102,10 +118,7 @@ class FlatKeyIndex {
   }
 
   /// Heap bytes of the slot arrays (for memory estimates).
-  uint64_t ApproxBytes() const {
-    return tags_.size() * (sizeof(uint8_t) + sizeof(uint64_t) +
-                           sizeof(uint32_t));
-  }
+  uint64_t ApproxBytes() const { return tags_.size() * kSlotBytes; }
 
  private:
   void Rebuild(size_t capacity) {

@@ -311,13 +311,15 @@ TEST(QymeraSimTest, WideGhzUsesHugeIntAutomatically) {
 }
 
 TEST(QymeraSimTest, SpillKeepsResultsExact) {
-  // Budget far below the 2^14-amplitude dense state forces aggregate spill;
+  // A budget below the last gate's working set forces aggregate spill;
   // results must match the unconstrained run.
-  // Near the last gate two state relations coexist (2^13 + 2^14 rows,
-  // ~600 KiB); 1 MiB leaves far less than the ~1.7 MiB the aggregate hash
-  // table wants, forcing partition spill.
+  // The last gate reads 2^13 rows (192 KiB at 24 B a row) and writes 2^14
+  // (384 KiB). Its aggregate, 16,384 groups at about 30 B (480 KiB), does
+  // not fit beside its input under 768 KiB and spills, while the input, the
+  // output and one merged partition do fit. Budgets from 640 to 864 KiB
+  // spill and pass.
   QymeraOptions constrained;
-  constrained.base.memory_budget_bytes = 1 << 20;
+  constrained.base.memory_budget_bytes = 768 << 10;
   QymeraSimulator small(constrained);
   auto summary = small.Execute(qc::EqualSuperposition(14));
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -338,8 +340,10 @@ TEST(QymeraSimTest, SpillDisabledHitsMemoryWall) {
 
 TEST(QymeraSimTest, DenseQftPeakIsStateTablesPlusLeanAggregate) {
   // X on every other qubit, then QFT-14: dense 16,384-row states. The
-  // tracker peak is the input and output state tables (16,384 x 24 B each)
-  // plus one gate's group table, which must stay near 52 B per group.
+  // tracker peak is the input and output state tables (16,384 x 24 B each,
+  // 0.75 MiB) plus one gate's group table, which must stay near 30 B per
+  // group (8 B key, two 9 B sums, one 4 B direct slot): 1.22 MiB. Hashing
+  // the dense keys instead adds a 26 B-per-group index (1.56 MiB).
   qc::QuantumCircuit circuit(14, "xqft14");
   for (int q = 0; q < 14; q += 2) circuit.X(q);
   circuit.Compose(qc::Qft(14));
@@ -350,7 +354,7 @@ TEST(QymeraSimTest, DenseQftPeakIsStateTablesPlusLeanAggregate) {
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   ASSERT_EQ(state->NumNonZero(), 16384u);
   double peak_mib = static_cast<double>(sim.metrics().peak_bytes) / (1 << 20);
-  EXPECT_LT(peak_mib, 1.6);
+  EXPECT_LT(peak_mib, 1.3);
   EXPECT_GT(peak_mib, 0.75) << "both state tables must be counted";
 }
 

@@ -61,15 +61,27 @@ constexpr Site kSites[] = {
 struct Scenario {
   const char* name;
   const char* sql;
-  uint64_t budget;  ///< MemoryTracker::kUnlimited or a spill-forcing cap
+  /// The budget above the loaded table (MemoryTracker::kUnlimited for
+  /// none); a spill-forcing one for the spilling scenario.
+  uint64_t headroom;
   int rows;
   int groups;
 };
 
-// Rows and groups of the spilling scenarios: 20000 distinct groups outgrow
-// the 1 MiB budget next to the base table.
+// Rows and groups of the spilling scenarios, and their budget above the
+// 20,000-row base table (312 KiB): the aggregate's 20,000 distinct groups
+// (about 29 B each, 566 KiB) outgrow it, while the 20,000-row result (24 B
+// a row, 469 KiB) plus one merged partition fits. The window is narrow:
+// headroom from 528 to 566 KiB spills and passes, at 1 and 4 threads.
 constexpr int kSpillRows = 20000;
 constexpr int kSpillGroups = 20000;
+constexpr uint64_t kSpillHeadroom = 544u << 10;
+
+/// Cap `db`'s budget at what it holds now plus `headroom`.
+void SetHeadroom(Database* db, uint64_t headroom) {
+  if (headroom == MemoryTracker::kUnlimited) return;
+  db->tracker().set_budget(db->tracker().used() + headroom);
+}
 
 const Scenario kScenarios[] = {
     {"join",
@@ -83,7 +95,7 @@ const Scenario kScenarios[] = {
     // Budget forces the hash aggregate to spill partitions, so the spill/
     // tempfile sites are actually traversed (cf. sql_spill_test).
     {"spill_agg", "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k",
-     1 << 20, kSpillRows, kSpillGroups},
+     kSpillHeadroom, kSpillRows, kSpillGroups},
 };
 
 bool IsSpillSite(const std::string& site) {
@@ -98,10 +110,10 @@ void RunCase(const Site& site, const Scenario& scenario, size_t threads,
                " skip=" + std::to_string(skip));
   failpoint::DeactivateAll();
   DatabaseOptions opts;
-  opts.memory_budget_bytes = scenario.budget;
   opts.num_threads = threads;
   Database db(opts);
   FillGroups(&db, scenario.rows, scenario.groups);
+  SetHeadroom(&db, scenario.headroom);
   uint64_t used_before = db.tracker().used();
 
   failpoint::Activate(site.name, site.code, "injected by fault_injection_test",
@@ -117,7 +129,8 @@ void RunCase(const Site& site, const Scenario& scenario, size_t threads,
   uint64_t traversals = failpoint::TraversalCount(site.name);
   failpoint::DeactivateAll();
 
-  if (scenario.budget != MemoryTracker::kUnlimited && IsSpillSite(site.name)) {
+  if (scenario.headroom != MemoryTracker::kUnlimited &&
+      IsSpillSite(site.name)) {
     // The budgeted scenario exists to drive the spill path; it must.
     ASSERT_GT(traversals, 0u) << scenario.name << " never reached "
                               << site.name;
@@ -152,10 +165,10 @@ TEST(FaultInjectionTest, SpillScenarioSpillsWithoutFaults) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     DatabaseOptions opts;
-    opts.memory_budget_bytes = scenario.budget;
     opts.num_threads = threads;
     Database db(opts);
     FillGroups(&db, scenario.rows, scenario.groups);
+    SetHeadroom(&db, scenario.headroom);
     auto got = db.Execute(scenario.sql);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->NumRows(), static_cast<uint64_t>(scenario.groups));
@@ -255,10 +268,10 @@ TEST(FaultInjectionTest, TransientWriteFailuresAreAbsorbedByRetry) {
     SCOPED_TRACE("fail_count=" + std::to_string(fail_count));
     failpoint::DeactivateAll();
     DatabaseOptions opts;
-    opts.memory_budget_bytes = 1 << 20;
     opts.num_threads = 1;
     Database db(opts);
     FillGroups(&db, kSpillRows, kSpillGroups);
+    SetHeadroom(&db, kSpillHeadroom);
     uint64_t used_before = db.tracker().used();
     failpoint::ActivateTransient("tempfile/write", fail_count);
     Status status;
@@ -286,10 +299,10 @@ TEST(FaultInjectionTest, TransientFailuresBeyondRetryBudgetStillFail) {
   // must surface (no infinite retry), and cleanup must still hold.
   failpoint::DeactivateAll();
   DatabaseOptions opts;
-  opts.memory_budget_bytes = 1 << 20;
   opts.num_threads = 1;
   Database db(opts);
   FillGroups(&db, kSpillRows, kSpillGroups);
+  SetHeadroom(&db, kSpillHeadroom);
   uint64_t used_before = db.tracker().used();
   failpoint::ActivateTransient("tempfile/write", kIoAttempts);
   Status status;
@@ -461,10 +474,10 @@ TEST_F(SpillCorruptionTest, CorruptSpillPageFailsQueryCleanly) {
   // case pins the specific code).
   failpoint::DeactivateAll();
   DatabaseOptions opts;
-  opts.memory_budget_bytes = 1 << 20;
   opts.num_threads = 1;
   Database db(opts);
   FillGroups(&db, kSpillRows, kSpillGroups);
+  SetHeadroom(&db, kSpillHeadroom);
   uint64_t used_before = db.tracker().used();
   failpoint::Activate("spill/read", StatusCode::kDataLoss,
                       "spill page checksum mismatch (injected)");

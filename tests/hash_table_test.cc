@@ -135,6 +135,23 @@ TEST(FlatKeyIndexTest, GrowthRehashKeepsAllKeysFindable) {
   }
 }
 
+TEST(FlatKeyIndexTest, ReserveReachesTheCapacityGrowthReaches) {
+  // The hash aggregate sizes its direct slots against the bytes the index
+  // would hold at a group count, so CapacityHolding, Reserve and growth by
+  // insertion must agree.
+  FlatKeyIndex grown;
+  EXPECT_EQ(grown.capacity(), FlatKeyIndex::CapacityHolding(0));
+  for (uint32_t k = 1; k <= 3000; ++k) {
+    bool inserted = false;
+    grown.FindOrInsert(HashIntKey(k), k - 1, [](uint32_t) { return false; },
+                       &inserted);
+    ASSERT_EQ(grown.capacity(), FlatKeyIndex::CapacityHolding(k)) << k;
+    FlatKeyIndex reserved;
+    reserved.Reserve(k);
+    ASSERT_EQ(reserved.capacity(), grown.capacity()) << k;
+  }
+}
+
 TEST(FlatKeyIndexTest, Int128KeysDifferingInHighBitsStayDistinct) {
   int128_t low = 5;
   int128_t high = (static_cast<int128_t>(1) << 80) | 5;  // same low 64 bits

@@ -254,9 +254,13 @@ TEST(ParallelExecTest, ParallelAggregateSpillsUnderBudget) {
 
   DatabaseOptions opts;
   opts.num_threads = 4;
-  opts.memory_budget_bytes = 1 << 20;  // 1 MiB
   Database small(opts);
   FillBig(&small, "t", kRows, kGroups);
+  // 512 KiB beside the base table: the parallel partials (about 20,000
+  // group entries in all) and the merged table (5,000 groups), at about
+  // 30 B a group, do not fit together and spill; the sorted result fits.
+  // Headroom from 320 to 704 KiB spills and passes.
+  small.tracker().set_budget(small.tracker().used() + (512u << 10));
   auto got =
       small.Execute("SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k ORDER BY k");
   ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -282,8 +282,12 @@ TEST_P(ServiceFaultTest, SingleFaultIsIsolatedToOneSession) {
   options.max_concurrent_queries = kFaultSessions;
   // A tight per-session budget so the aggregation below actually spills
   // (traversing spill/write) on every session — same pressure point as the
-  // fault_injection_test spill_agg scenario.
-  options.session_defaults.memory_budget_bytes = 1 << 20;
+  // fault_injection_test spill_agg scenario. 640 KiB holds the 20,000-row
+  // table (312 KiB) and the 5,000-row result (117 KiB), but not the
+  // parallel partials (about 20,000 group entries in all) next to the
+  // merged table (5,000 groups), at about 30 B a group. Budgets from 464 to
+  // 864 KiB spill and pass.
+  options.session_defaults.memory_budget_bytes = 640 << 10;
   Service svc(options);
 
   const std::string kStorm = "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k";

@@ -70,6 +70,47 @@ TEST_F(SqlExecTest, DivisionByZeroYieldsNull) {
   EXPECT_TRUE(r.GetValue(0, 1).is_null());
 }
 
+TEST_F(SqlExecTest, IntegerModAndShiftEdgeCases) {
+  // x % -1 is 0, also at the type's minimum, where the remainder
+  // instruction traps.
+  const std::string min64 = "(-9223372036854775807 - 1)";
+  const std::string min128 = "(-170141183460469231731687303715884105727 - 1)";
+  QueryResult m = Q("SELECT " + min64 + " % -1, MOD(" + min64 + ", -1), " +
+                    min128 + " % -1, MOD(" + min128 + ", -1), 7 % -1");
+  ASSERT_EQ(m.NumColumns(), 5u);
+  for (size_t c = 0; c < m.NumColumns(); ++c) {
+    EXPECT_EQ(m.GetValue(0, c).ToString(), "0") << "column " << c;
+  }
+  EXPECT_EQ(m.GetValue(0, 0).type(), DataType::kBigInt);
+  EXPECT_EQ(m.GetValue(0, 2).type(), DataType::kHugeInt);
+
+  // A shift count outside [0, bit width) gives NULL; the other rows of the
+  // same chunk still shift.
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE sh (c BIGINT, x BIGINT, h HUGEINT);
+    INSERT INTO sh VALUES (-1, 1, 1), (0, -1, -1), (63, 1, 1), (63, -1, -1),
+                          (64, 1, 1), (127, 1, 1), (128, 1, 1);
+  )").ok());
+  QueryResult s = Q("SELECT x << c, x >> c, h << c, h >> c FROM sh");
+  const std::vector<std::vector<std::string>> want = {
+      {"NULL", "NULL", "NULL", "NULL"},
+      {"-1", "-1", "-1", "-1"},
+      {"-9223372036854775808", "0", "9223372036854775808", "0"},
+      {"-9223372036854775808", "-1", "-9223372036854775808", "-1"},
+      {"NULL", "NULL", "18446744073709551616", "0"},
+      {"NULL", "NULL", "-170141183460469231731687303715884105728", "0"},
+      {"NULL", "NULL", "NULL", "NULL"},
+  };
+  ASSERT_EQ(s.NumRows(), want.size());
+  for (uint64_t row = 0; row < s.NumRows(); ++row) {
+    for (size_t c = 0; c < 4; ++c) {
+      Value v = s.GetValue(row, c);
+      EXPECT_EQ(v.is_null() ? "NULL" : v.ToString(), want[row][c])
+          << "row " << row << " column " << c;
+    }
+  }
+}
+
 TEST_F(SqlExecTest, BitwiseOperatorsTable1) {
   // All five operators of the paper's Table 1, plus XOR.
   QueryResult r =

@@ -2,6 +2,10 @@
 /// budget behaviour of join/sort (experiment E9's machinery).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "sql/database.h"
 
 namespace qy::sql {
@@ -21,32 +25,44 @@ void FillGroups(Database* db, int rows, int groups) {
 }
 
 TEST(SpillTest, SpilledAggregateMatchesInMemory) {
-  // Enough groups that the aggregate outgrows 1 MiB next to the base table,
-  // few enough that the sorted result still fits.
+  // Enough groups that the aggregate outgrows its budget next to the base
+  // table, few enough that the result still fits.
   constexpr int kRows = 20000, kGroups = 14000;
+  const std::string sql = "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k";
   // Reference: unlimited memory.
   Database ref;
   FillGroups(&ref, kRows, kGroups);
-  auto expect = ref.Execute("SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k ORDER BY k");
+  auto expect = ref.Execute(sql);
   ASSERT_TRUE(expect.ok());
   ASSERT_EQ(expect->stats.rows_spilled, 0u);
 
-  // Constrained: input table fits, hash aggregate must spill.
-  DatabaseOptions opts;
-  opts.memory_budget_bytes = 1 << 20;  // 1 MiB
-  Database small(opts);
+  // Constrained: input table fits, hash aggregate must spill. 388 KiB
+  // beside the base table holds the 14,000-row result (24 B a row, 328 KiB)
+  // plus one merged partition, but not the aggregate's 14,000 groups (about
+  // 30 B each, 406 KiB). Headroom from 380 to 396 KiB spills and passes.
+  Database small;
   FillGroups(&small, kRows, kGroups);
-  auto got = small.Execute("SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k ORDER BY k");
+  small.tracker().set_budget(small.tracker().used() + (388u << 10));
+  auto got = small.Execute(sql);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_GT(got->stats.rows_spilled, 0u) << "budget did not trigger a spill";
   EXPECT_GT(small.temp_files().total_spilled_bytes(), 0u);
   EXPECT_EQ(ref.temp_files().total_spilled_bytes(), 0u);
 
+  // Spilled groups come back partition by partition, so compare by key.
   ASSERT_EQ(got->NumRows(), expect->NumRows());
+  std::map<int64_t, uint64_t> expect_row;
+  for (uint64_t r = 0; r < expect->NumRows(); ++r) {
+    expect_row[expect->GetInt64(r, 0)] = r;
+  }
+  std::set<int64_t> seen;
   for (uint64_t r = 0; r < got->NumRows(); ++r) {
-    EXPECT_EQ(got->GetInt64(r, 0), expect->GetInt64(r, 0));
-    EXPECT_DOUBLE_EQ(got->GetDouble(r, 1), expect->GetDouble(r, 1));
-    EXPECT_EQ(got->GetInt64(r, 2), expect->GetInt64(r, 2));
+    int64_t k = got->GetInt64(r, 0);
+    ASSERT_TRUE(seen.insert(k).second) << "duplicate group " << k;
+    auto it = expect_row.find(k);
+    ASSERT_NE(it, expect_row.end()) << "unexpected group " << k;
+    EXPECT_DOUBLE_EQ(got->GetDouble(r, 1), expect->GetDouble(it->second, 1));
+    EXPECT_EQ(got->GetInt64(r, 2), expect->GetInt64(it->second, 2));
   }
 }
 
