@@ -93,6 +93,19 @@ DataType PromoteNumeric(DataType t) {
   return t == DataType::kBool ? DataType::kBigInt : t;
 }
 
+/// Fold an operator whose operands are all literals into one literal, so it
+/// is computed once per statement instead of once per chunk. An operator
+/// whose evaluation fails stays as it is: its error then surfaces only when
+/// a row is evaluated, as it would without folding.
+BoundExprPtr FoldConstant(BoundExprPtr e) {
+  for (const auto& child : e->children) {
+    if (child->kind != BoundExprKind::kLiteral) return e;
+  }
+  Value v;
+  if (!e->EvaluateConstant(&v).ok()) return e;
+  return MakeBoundLiteral(std::move(v));
+}
+
 Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
   {
     QY_ASSIGN_OR_RETURN(BoundExprPtr whole, resolver->ResolveWhole(expr));
@@ -117,7 +130,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
         e->op = OpCode::kNot;
         e->type = DataType::kBool;
         e->children.push_back(std::move(child));
-        return e;
+        return FoldConstant(std::move(e));
       }
       QY_ASSIGN_OR_RETURN(BoundExprPtr child,
                           BindExpr(*expr.children[0], resolver));
@@ -138,7 +151,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
         return Status::BindError("unknown unary operator: " + expr.op);
       }
       e->children.push_back(std::move(child));
-      return e;
+      return FoldConstant(std::move(e));
     }
     case ExprKind::kBinary: {
       QY_ASSIGN_OR_RETURN(BoundExprPtr l, BindExpr(*expr.children[0], resolver));
@@ -203,7 +216,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
       }
       e->children.push_back(std::move(l));
       e->children.push_back(std::move(r));
-      return e;
+      return FoldConstant(std::move(e));
     }
     case ExprKind::kFunction: {
       if (EqualsIgnoreCase(expr.op, "ISNULL")) {
@@ -214,7 +227,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
         e->op = OpCode::kIsNull;
         e->type = DataType::kBool;
         e->children.push_back(std::move(child));
-        return e;
+        return FoldConstant(std::move(e));
       }
       if (IsAggregateName(expr.op)) {
         return resolver->ResolveAggregate(expr);
@@ -234,6 +247,9 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
       switch (info.func) {
         case ScalarFunc::kAbs:
           e->type = PromoteNumeric(e->children[0]->type);
+          if (!IsNumeric(e->type)) {
+            return Status::BindError("ABS requires a numeric argument");
+          }
           break;
         case ScalarFunc::kMod: {
           QY_ASSIGN_OR_RETURN(
@@ -521,12 +537,6 @@ bool ContainsAggregate(const Expr& expr) {
     if (ContainsAggregate(*c)) return true;
   }
   return false;
-}
-
-/// Collect all column indices referenced by a bound expression.
-void CollectColumnRefs(const BoundExpr& e, std::vector<int>* out) {
-  if (e.kind == BoundExprKind::kColumnRef) out->push_back(e.col_idx);
-  for (const auto& c : e.children) CollectColumnRefs(*c, out);
 }
 
 /// Shift all column references by `delta` (rebase right-side join keys onto

@@ -25,6 +25,11 @@ class ColumnVector {
   bool empty() const { return size_ == 0; }
 
   void Clear();
+  /// Clear and retype, keeping the buffers' capacity for the next fill.
+  void Reset(DataType type) {
+    type_ = type;
+    Clear();
+  }
   void Reserve(size_t n);
 
   // -- typed append (fast paths) --
@@ -81,6 +86,13 @@ class ColumnVector {
 
   /// Mark row i invalid (materializes the validity bitmap).
   void SetNull(size_t i);
+
+  /// Drop a materialized validity bitmap that marks no row NULL (a copy or
+  /// a cast carries its source's bitmap over), so a computed column holds a
+  /// bitmap only when some row is NULL.
+  void CompactValidity() {
+    if (!validity_.empty() && !AnyNull()) validity_.clear();
+  }
 
   /// Approximate heap bytes, for memory accounting.
   uint64_t ApproxBytes() const;

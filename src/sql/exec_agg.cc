@@ -670,11 +670,12 @@ class HashAggNode : public ExecNode {
   };
 
   /// Evaluate the group keys and aggregate arguments over one input chunk
-  /// (COUNT(*) leaves its argument column empty).
+  /// (COUNT(*) leaves its argument column empty). Columns left from the
+  /// previous chunk are evaluated into again, reusing their buffers.
   Status EvaluateChunk(const DataChunk& in, std::vector<ColumnVector>* keys,
                        std::vector<ColumnVector>* args) const {
-    keys->assign(plan_.group_keys.size(), ColumnVector());
-    args->assign(plan_.aggs.size(), ColumnVector());
+    keys->resize(plan_.group_keys.size());
+    args->resize(plan_.aggs.size());
     for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
       QY_RETURN_IF_ERROR(plan_.group_keys[k]->Evaluate(in, &(*keys)[k]));
     }

@@ -95,20 +95,20 @@ class ScanNode : public ExecNode {
 // Filter
 // ---------------------------------------------------------------------------
 
-/// Append the rows of `src` selected by `mask` (bool column) to `dst`.
-void SelectRows(const DataChunk& src, const ColumnVector& mask,
-                DataChunk* dst) {
-  if (dst->columns.empty()) {
-    for (const auto& col : src.columns) {
-      dst->columns.emplace_back(col.type());
-    }
+/// Keep the rows of `chunk` where `mask` (a BOOLEAN column) is true, using
+/// `sel` as scratch. A mask that keeps every row leaves the chunk as it is
+/// rather than gathering a copy of it.
+void FilterRows(const ColumnVector& mask, std::vector<uint32_t>* sel,
+                DataChunk* chunk) {
+  MaskToSelection(mask, sel);
+  if (sel->size() == chunk->NumRows()) return;
+  DataChunk kept;
+  kept.columns.reserve(chunk->columns.size());
+  for (const auto& col : chunk->columns) {
+    kept.columns.emplace_back(col.type());
+    kept.columns.back().AppendGather(col, sel->data(), sel->size());
   }
-  std::vector<uint32_t> sel;
-  MaskToSelection(mask, &sel);
-  if (sel.empty()) return;
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    dst->columns[c].AppendGather(src.columns[c], sel.data(), sel.size());
-  }
+  *chunk = std::move(kept);
 }
 
 class FilterNode : public ExecNode {
@@ -133,13 +133,11 @@ class FilterNode : public ExecNode {
         return Status::OK();
       }
       if (in.NumRows() == 0) continue;
-      ColumnVector mask;
-      QY_RETURN_IF_ERROR(plan_.predicate->Evaluate(in, &mask));
-      DataChunk filtered;
-      SelectRows(in, mask, &filtered);
-      if (filtered.NumRows() > 0) {
-        stats_.rows_out += filtered.NumRows();
-        *out = std::move(filtered);
+      QY_RETURN_IF_ERROR(plan_.predicate->Evaluate(in, &mask_));
+      FilterRows(mask_, &sel_, &in);
+      if (in.NumRows() > 0) {
+        stats_.rows_out += in.NumRows();
+        *out = std::move(in);
         *done = false;
         return Status::OK();
       }
@@ -152,6 +150,8 @@ class FilterNode : public ExecNode {
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
   NodeStats stats_;
+  ColumnVector mask_;          ///< predicate values, buffers reused per chunk
+  std::vector<uint32_t> sel_;  ///< kept rows, buffer reused per chunk
 };
 
 // ---------------------------------------------------------------------------
@@ -162,7 +162,20 @@ class ProjectNode : public ExecNode {
  public:
   ProjectNode(const PlanNode& plan, std::unique_ptr<ExecNode> child,
               ExecContext* ctx)
-      : plan_(plan), child_(std::move(child)), stats_("Project", ctx) {}
+      : plan_(plan), child_(std::move(child)), stats_("Project", ctx) {
+    // An input column that exactly one projection references, as a bare
+    // column reference, moves to the output instead of being copied.
+    std::vector<int> refs;
+    for (const auto& proj : plan_.projections) CollectColumnRefs(*proj, &refs);
+    move_from_.assign(plan_.projections.size(), -1);
+    for (size_t p = 0; p < plan_.projections.size(); ++p) {
+      const BoundExpr& e = *plan_.projections[p];
+      if (e.kind == BoundExprKind::kColumnRef &&
+          std::count(refs.begin(), refs.end(), e.col_idx) == 1) {
+        move_from_[p] = e.col_idx;
+      }
+    }
+  }
 
   Status Init() override {
     return child_ ? child_->Init() : Status::OK();
@@ -190,11 +203,19 @@ class ProjectNode : public ExecNode {
       in.columns[0].AppendBigInt(0);
     }
     *done = false;
-    out->columns.reserve(plan_.projections.size());
-    for (const auto& proj : plan_.projections) {
-      ColumnVector col;
-      QY_RETURN_IF_ERROR(proj->Evaluate(in, &col));
-      out->columns.push_back(std::move(col));
+    size_t n = plan_.projections.size();
+    auto moves = [&](size_t p) {
+      int from = move_from_[p];
+      return from >= 0 && in.columns[from].type() == plan_.projections[p]->type;
+    };
+    out->columns.resize(n);
+    for (size_t p = 0; p < n; ++p) {
+      if (moves(p)) continue;
+      QY_RETURN_IF_ERROR(plan_.projections[p]->Evaluate(in, &out->columns[p]));
+    }
+    // Moves go last: evaluation reads the row count off the input columns.
+    for (size_t p = 0; p < n; ++p) {
+      if (moves(p)) out->columns[p] = std::move(in.columns[move_from_[p]]);
     }
     stats_.rows_out += out->NumRows();
     return Status::OK();
@@ -205,6 +226,7 @@ class ProjectNode : public ExecNode {
   std::unique_ptr<ExecNode> child_;
   NodeStats stats_;
   bool emitted_dual_ = false;
+  std::vector<int> move_from_;  ///< per projection: input column moved, or -1
 };
 
 // ---------------------------------------------------------------------------
@@ -452,6 +474,12 @@ class HashJoinNode : public ExecNode {
         }
       }
     }
+    if (table_.num_keys() > 0) {
+      // Capped, so a skewed build side cannot make every probe chunk reserve
+      // its worst case.
+      rows_per_key_ = std::min<size_t>(
+          (n + table_.num_keys() - 1) / table_.num_keys(), 16);
+    }
     if (ctx_->profile != nullptr) {
       ctx_->profile->Record("HashJoinBuild", n, 0.0);
     }
@@ -512,9 +540,8 @@ class HashJoinNode : public ExecNode {
     if (plan_.residual && joined.NumRows() > 0) {
       ColumnVector mask;
       QY_RETURN_IF_ERROR(plan_.residual->Evaluate(joined, &mask));
-      DataChunk filtered;
-      SelectRows(joined, mask, &filtered);
-      joined = std::move(filtered);
+      std::vector<uint32_t> sel;
+      FilterRows(mask, &sel, &joined);
     }
     *out = std::move(joined);
     return Status::OK();
@@ -628,6 +655,9 @@ class HashJoinNode : public ExecNode {
         }
       }
     } else {
+      // A probe row matches about the build side's rows per key.
+      probe_sel.reserve(n * rows_per_key_);
+      build_sel.reserve(n * rows_per_key_);
       std::vector<ColumnVector> keys(plan_.left_keys.size());
       for (size_t k = 0; k < plan_.left_keys.size(); ++k) {
         QY_RETURN_IF_ERROR(plan_.left_keys[k]->Evaluate(probe, &keys[k]));
@@ -691,6 +721,7 @@ class HashJoinNode : public ExecNode {
   DataChunk build_;
   bool use_fast_key_ = false;
   JoinRowTable table_;
+  size_t rows_per_key_ = 0;  ///< selection reservation per probe row
   std::vector<int128_t> build_int_keys_;  ///< fast path: key of each build row
   EncodedKeyRows build_enc_;              ///< generic path: encoded key rows
   mutable std::atomic<uint64_t> probe_rows_{0};

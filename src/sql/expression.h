@@ -60,8 +60,10 @@ struct BoundExpr {
   bool case_has_else = false;     // kCase
   std::vector<std::unique_ptr<BoundExpr>> children;
 
-  /// Evaluate over `input`, appending `input.NumRows()` values into `out`
-  /// (out is cleared first and typed to `type`).
+  /// Evaluate over `input` into `out`, which holds `input.NumRows()` values
+  /// of `type` afterwards. `out` is reset first but keeps its buffers, so a
+  /// caller that evaluates chunk after chunk into one column reuses them;
+  /// it must not be one of `input`'s columns.
   Status Evaluate(const DataChunk& input, ColumnVector* out) const;
 
   /// Convenience: evaluate against a 0-column chunk of `rows` rows
@@ -70,18 +72,22 @@ struct BoundExpr {
 
   std::unique_ptr<BoundExpr> Clone() const;
 
-  // Internal evaluation helpers (public so kernels can be reused by the
-  // executor, e.g. MOD via the binary-op path).
-  Status EvaluateUnaryOp(OpCode opcode, const ColumnVector& operand,
-                         ColumnVector* out) const;
-  Status EvaluateBinaryOp(OpCode opcode, const ColumnVector& l,
-                          const ColumnVector& r, ColumnVector* out) const;
+ private:
+  // Per-kind evaluation behind Evaluate (see expression.cc for the operand
+  // rules: borrowed columns, scalar literals, in-place finishing).
+  Status EvaluateUnary(const DataChunk& input, ColumnVector* out) const;
+  Status EvaluateBinary(const DataChunk& input, ColumnVector* out) const;
   Status EvaluateFunction(const DataChunk& input, ColumnVector* out) const;
+  Status EvaluateCase(const DataChunk& input, ColumnVector* out) const;
 };
 
 using BoundExprPtr = std::unique_ptr<BoundExpr>;
 
 BoundExprPtr MakeBoundColumnRef(int col_idx, DataType type);
 BoundExprPtr MakeBoundLiteral(Value v);
+
+/// Append the column index of every column reference in `e` to `out`, once
+/// per reference.
+void CollectColumnRefs(const BoundExpr& e, std::vector<int>* out);
 
 }  // namespace qy::sql

@@ -144,6 +144,7 @@ void HashEncodedRows(const EncodedKeyRows& rows,
 void MaskToSelection(const ColumnVector& mask, std::vector<uint32_t>* sel) {
   sel->clear();
   size_t n = mask.size();
+  sel->reserve(n);
   const uint8_t* data = mask.bool_data().data();
   if (mask.validity().empty()) {
     for (size_t i = 0; i < n; ++i) {

@@ -111,6 +111,98 @@ TEST_F(SqlExecTest, IntegerModAndShiftEdgeCases) {
   }
 }
 
+TEST_F(SqlExecTest, IntegerOverflowGivesNull) {
+  // An integer +, -, *, unary - or ABS whose result does not fit its type
+  // is NULL, as x / 0 is. Each row is computed over columns (the kernels)
+  // and over literals (folded at bind time), next to neighbours that fit.
+  struct Row {
+    std::string x, y;
+    std::vector<std::string> want;  // x + y, x - y, x * y, -x, ABS(x)
+  };
+  const std::string max64 = "9223372036854775807";
+  const std::string min64 = "(-9223372036854775807 - 1)";
+  const std::string max128 = "170141183460469231731687303715884105727";
+  const std::string min128 = "(-170141183460469231731687303715884105727 - 1)";
+  const std::string p126 = "85070591730234615865843651857942052864";
+  const std::vector<Row> bigint_rows = {
+      {max64, "1",
+       {"NULL", "9223372036854775806", max64, "-9223372036854775807", max64}},
+      {max64, "0", {max64, max64, "0", "-9223372036854775807", max64}},
+      {min64, "-1", {"NULL", "-9223372036854775807", "NULL", "NULL", "NULL"}},
+      {min64, "1",
+       {"-9223372036854775807", "NULL", "-9223372036854775808", "NULL",
+        "NULL"}},
+      {"4611686018427387904", "2",
+       {"4611686018427387906", "4611686018427387902", "NULL",
+        "-4611686018427387904", "4611686018427387904"}},
+  };
+  const std::vector<Row> hugeint_rows = {
+      {max128, "1",
+       {"NULL", "170141183460469231731687303715884105726", max128,
+        "-170141183460469231731687303715884105727", max128}},
+      {max128, "0",
+       {max128, max128, "0", "-170141183460469231731687303715884105727",
+        max128}},
+      {min128, "-1",
+       {"NULL", "-170141183460469231731687303715884105727", "NULL", "NULL",
+        "NULL"}},
+      {min128, "1",
+       {"-170141183460469231731687303715884105727", "NULL",
+        "-170141183460469231731687303715884105728", "NULL", "NULL"}},
+      {p126, "2",
+       {"85070591730234615865843651857942052866",
+        "85070591730234615865843651857942052862", "NULL",
+        "-85070591730234615865843651857942052864", p126}},
+  };
+  for (const auto& [type, rows] :
+       {std::pair{std::string("BIGINT"), bigint_rows},
+        std::pair{std::string("HUGEINT"), hugeint_rows}}) {
+    const std::string table = "ov_" + type;
+    ASSERT_TRUE(db_.ExecuteScript("CREATE TABLE " + table + " (x " + type +
+                                  ", y " + type + ")")
+                    .ok());
+    for (const Row& row : rows) {
+      ASSERT_TRUE(db_.ExecuteScript("INSERT INTO " + table + " VALUES (" +
+                                    row.x + ", " + row.y + ")")
+                      .ok());
+    }
+    QueryResult cols =
+        Q("SELECT x + y, x - y, x * y, -x, ABS(x) FROM " + table);
+    ASSERT_EQ(cols.NumRows(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::string x = "(" + rows[r].x + ")";
+      const std::string y = "(" + rows[r].y + ")";
+      QueryResult lits = Q("SELECT " + x + " + " + y + ", " + x + " - " + y +
+                           ", " + x + " * " + y + ", -" + x + ", ABS(" + x +
+                           ")");
+      ASSERT_EQ(lits.NumRows(), 1u);
+      for (size_t c = 0; c < rows[r].want.size(); ++c) {
+        EXPECT_EQ(cols.GetValue(r, c).ToString(), rows[r].want[c])
+            << type << " columns, row " << r << ", column " << c;
+        EXPECT_EQ(lits.GetValue(0, c).ToString(), rows[r].want[c])
+            << type << " literals, row " << r << ", column " << c;
+      }
+    }
+  }
+}
+
+TEST_F(SqlExecTest, RoundTakesDigitsPerRow) {
+  ASSERT_TRUE(db_.ExecuteScript(R"(
+    CREATE TABLE rd (x DOUBLE, d BIGINT);
+    INSERT INTO rd VALUES (3.14159, 0), (3.14159, 2), (3.14159, NULL),
+                          (2.5, 3), (NULL, 1);
+  )").ok());
+  QueryResult r = Q("SELECT ROUND(x, d), ROUND(x) FROM rd");
+  ASSERT_EQ(r.NumRows(), 5u);
+  EXPECT_DOUBLE_EQ(r.GetDouble(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(r.GetDouble(1, 0), 3.14);
+  EXPECT_TRUE(r.GetValue(2, 0).is_null());
+  EXPECT_DOUBLE_EQ(r.GetDouble(3, 0), 2.5);
+  EXPECT_TRUE(r.GetValue(4, 0).is_null());
+  EXPECT_DOUBLE_EQ(r.GetDouble(2, 1), 3.0);
+  EXPECT_DOUBLE_EQ(r.GetDouble(3, 1), 3.0);
+}
+
 TEST_F(SqlExecTest, BitwiseOperatorsTable1) {
   // All five operators of the paper's Table 1, plus XOR.
   QueryResult r =
@@ -493,6 +585,7 @@ TEST_F(SqlExecTest, BindErrors) {
             StatusCode::kBindError);
   EXPECT_EQ(Err("SELECT NOSUCHFUNC(a) FROM nums").code(),
             StatusCode::kBindError);
+  EXPECT_EQ(Err("SELECT ABS(name) FROM nums").code(), StatusCode::kBindError);
 }
 
 TEST_F(SqlExecTest, AmbiguousColumnIsError) {
